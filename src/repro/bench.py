@@ -41,21 +41,7 @@ Benchmarked engines:
   against a ``capacity=2`` server: shed requests get their structured
   ``overloaded`` rejection instantly (that's the p50), admitted ones
   pay the evaluation (the p99); the shed rate and both latency
-  percentiles quantify the load-shedding contract;
-* ``service.fleet.single`` / ``service.fleet.quad`` — a cyclic,
-  coalescing-free trace over K distinct structures against one worker
-  vs a 4-worker fleet behind the orchestrator, every worker's
-  structure cache LRU-bounded below K: the single worker thrashes
-  while fingerprint-affinity routing keeps each shard hot, so the
-  fleet speedup measures *aggregate cache capacity* (the report also
-  records the affinity vs round_robin hit rates on the same trace);
-* ``service.selfheal`` — the same trace against a *supervised* 4-worker
-  fleet with kill-every-k-batches chaos: a worker is torn down abruptly
-  every k requests and the :class:`FleetSupervisor` respawns it
-  mid-trace. The report records recovery latency (kill → respawn),
-  goodput retained under chaos vs the clean pass, respawn/failover/
-  hedge counts, and asserts the chaos pass's values byte-identical to
-  the clean pass (self-healing must never lose or duplicate a unit).
+  percentiles quantify the load-shedding contract.
 
 ``run_benchmarks(workloads=[...])`` (CLI: ``bench --workloads``) filters
 the suite by substring match on the engine names above, so a single
@@ -123,9 +109,6 @@ WORKLOAD_ENGINES: tuple[str, ...] = (
     "service.warm",
     "service.coalesced",
     "service.overload",
-    "service.fleet.single",
-    "service.fleet.quad",
-    "service.selfheal",
 )
 
 
@@ -687,238 +670,6 @@ def run_benchmarks(
             "p99_s": float(np.percentile(lat, 99)),
         }
 
-    # -- fleet: single worker vs affinity-sharded quad ------------------
-    if _want("service.fleet.single", "service.fleet.quad"):
-        from repro.service import local_fleet
-
-        # A cyclic trace over K distinct structures with each worker's
-        # structure cache LRU-bounded to B < K: one worker thrashes
-        # (every revisit re-explores and re-solves), while 4
-        # fingerprint-affinity shards each hold their ~K/4 keys hot —
-        # on one core the fleet speedup is aggregate cache capacity,
-        # not CPU parallelism. K ≡ 2 (mod 4) keeps round_robin honest:
-        # the rotation never re-aligns a key with one worker, so the
-        # same trace scatters repeats and pays extra cold misses —
-        # that is the affinity-vs-round_robin hit-rate comparison.
-        if quick:
-            fleet_pairs = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3)]
-            fleet_bound, fleet_rounds = 3, 2
-        else:
-            # Interleaved so the odd (exponential/strict) slots land on
-            # the mid-cost topologies (~0.05-0.3 s each): revisits are
-            # dominated by recomputation, not socket round-trips.
-            fleet_pairs = [
-                (2, 3), (2, 5), (3, 2), (5, 2), (2, 4), (3, 4), (4, 2),
-                (4, 3), (3, 3), (2, 6), (5, 5), (6, 2), (2, 2), (4, 4),
-            ]
-            fleet_bound, fleet_rounds = 7, 3
-        fleet_tasks = [
-            {
-                "system": {
-                    "kind": "single_communication",
-                    "params": {"u": u, "v": v, "comm_time": 1.0},
-                },
-                # Alternate a cheap and an expensive solver so the trace
-                # mixes both cost classes across every shard.
-                "solver": "deterministic" if i % 2 == 0 else "exponential",
-                "model": "overlap" if i % 2 == 0 else "strict",
-                "options": {},
-            }
-            for i, (u, v) in enumerate(fleet_pairs)
-        ]
-        # Mixed single-evaluate and batch ops, issued sequentially from
-        # one client: coalescing-free by construction (no two identical
-        # requests are ever in flight together).
-        if quick:
-            fleet_groups = [slice(0, 2), 2, 3, slice(4, 6)]
-        else:
-            fleet_groups = [slice(0, 4), 4, 5, slice(6, 10), 10, 11,
-                            slice(12, 14)]
-
-        def _run_fleet(n_workers: int, strategy: str) -> dict:
-            """One full fleet lifetime over the cyclic trace."""
-            values: list = []
-            with local_fleet(
-                n_workers, strategy=strategy, max_entries=fleet_bound
-            ) as fleet:
-                with fleet.client() as client:
-                    for _ in range(fleet_rounds):
-                        for group in fleet_groups:
-                            if isinstance(group, slice):
-                                vals, fails, _stats = client.evaluate_batch(
-                                    fleet_tasks[group]
-                                )
-                                assert not fails
-                                values.extend(vals)
-                            else:
-                                values.append(
-                                    client.evaluate(fleet_tasks[group])
-                                )
-                    stats = client.stats()
-            cache = stats["structure_cache"]
-            return {
-                "values": values,
-                "executed": stats["totals"]["executed"],
-                "hits": cache["hits"],
-                "misses": cache["misses"],
-                "hit_rate": cache["hit_rate"],
-            }
-
-        fleet_units = fleet_rounds * len(fleet_pairs)
-        single_t, single = _timed(
-            partial(_run_fleet, 1, "fingerprint_affinity"),
-            max(1, repeats // 2),
-        )
-        engines["service.fleet.single"] = {
-            "median_s": single_t, "n_workers": 1,
-            "units": fleet_units,
-            "distinct_structures": len(fleet_pairs),
-            "max_entries": fleet_bound,
-            "executed": single["executed"],
-            "structure_hit_rate": single["hit_rate"],
-        }
-        quad_t, quad = _timed(
-            partial(_run_fleet, 4, "fingerprint_affinity"),
-            max(1, repeats // 2),
-        )
-        # Same trace through round_robin (untimed): the hit-rate
-        # comparison isolates routing quality from wall-clock noise.
-        rr = _run_fleet(4, "round_robin")
-        engines["service.fleet.quad"] = {
-            "median_s": quad_t, "n_workers": 4,
-            "units": fleet_units,
-            "distinct_structures": len(fleet_pairs),
-            "max_entries": fleet_bound,
-            "executed": quad["executed"],
-            "affinity_hit_rate": quad["hit_rate"],
-            "round_robin_hit_rate": rr["hit_rate"],
-            "round_robin_executed": rr["executed"],
-            "affinity_beats_round_robin": quad["hit_rate"] > rr["hit_rate"],
-            "values_identical_to_single": quad["values"] == single["values"],
-        }
-
-    if _want("service.selfheal"):
-        from repro.service import local_fleet
-
-        # Kill-every-k chaos against a supervised fleet. The clean pass
-        # times the trace on a healthy fleet; the chaos pass abruptly
-        # kills a worker every `heal_kill_every` batches (cycling the
-        # victim) and blocks until the supervisor has respawned it, so
-        # the measured wall time *includes* every recovery. Recovery is
-        # the kill -> respawn latency; goodput retained is clean/chaos
-        # wall time; the values must match the clean pass exactly —
-        # supervised respawn, breaker probes and re-dispatch must never
-        # lose or duplicate a unit.
-        if quick:
-            heal_pairs = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3)]
-            heal_rounds = 2
-        else:
-            heal_pairs = [
-                (2, 3), (2, 5), (3, 2), (5, 2), (2, 4), (3, 4), (4, 2),
-                (4, 3), (3, 3), (2, 6), (5, 5), (6, 2), (2, 2), (4, 4),
-            ]
-            heal_rounds = 3
-        heal_tasks = [
-            {
-                "system": {
-                    "kind": "single_communication",
-                    "params": {"u": u, "v": v, "comm_time": 1.0},
-                },
-                "solver": "deterministic",
-                "model": "overlap",
-                "options": {},
-            }
-            for (u, v) in heal_pairs
-        ]
-        heal_batch = 2
-        heal_kill_every = 3
-
-        def _run_selfheal(chaos: bool) -> dict:
-            values: list = []
-            recoveries: list[float] = []
-            batches = 0
-            victim = 1
-            with local_fleet(
-                4,
-                strategy="fingerprint_affinity",
-                breaker_cooldown_s=0.05,
-            ) as fleet:
-                supervisor = fleet.make_supervisor(
-                    check_interval=0.02, max_restarts=1000,
-                )
-                supervisor.start()
-                with fleet.client() as client:
-                    for _ in range(heal_rounds):
-                        for start in range(0, len(heal_tasks), heal_batch):
-                            if (
-                                chaos and batches
-                                and batches % heal_kill_every == 0
-                            ):
-                                name = f"w{victim}"
-                                victim = victim % 3 + 1  # cycle w1..w3
-                                before = supervisor.respawns
-                                t0 = time.monotonic()
-                                fleet.kill_worker(name)
-                                deadline = t0 + 30.0
-                                while supervisor.respawns == before:
-                                    if time.monotonic() > deadline:
-                                        raise RuntimeError(
-                                            f"supervisor never respawned "
-                                            f"{name}"
-                                        )
-                                    time.sleep(0.005)
-                                recoveries.append(time.monotonic() - t0)
-                            vals, fails, _stats = client.evaluate_batch(
-                                heal_tasks[start:start + heal_batch]
-                            )
-                            assert not fails
-                            values.extend(vals)
-                            batches += 1
-                    stats = client.stats()
-            orch = stats["orchestrator"]
-            return {
-                "values": values,
-                "failovers": orch["failovers"],
-                "hedges_sent": orch.get("hedges_sent", 0),
-                "hedges_won": orch.get("hedges_won", 0),
-                "respawns": stats["supervisor"]["respawns"],
-                "recoveries": recoveries,
-            }
-
-        heal_units = heal_rounds * len(heal_pairs)
-        clean_t, clean = _timed(
-            partial(_run_selfheal, False), max(1, repeats // 2)
-        )
-        chaos_t, chaos = _timed(
-            partial(_run_selfheal, True), max(1, repeats // 2)
-        )
-        engines["service.selfheal"] = {
-            "median_s": chaos_t,
-            "clean_s": clean_t,
-            "n_workers": 4,
-            "units": heal_units,
-            "kill_every_batches": heal_kill_every,
-            "kills": len(chaos["recoveries"]),
-            "respawns": chaos["respawns"],
-            "recovery_p50_s": (
-                statistics.median(chaos["recoveries"])
-                if chaos["recoveries"] else None
-            ),
-            "recovery_max_s": (
-                max(chaos["recoveries"]) if chaos["recoveries"] else None
-            ),
-            "failovers": chaos["failovers"],
-            "hedges_sent": chaos["hedges_sent"],
-            "hedges_won": chaos["hedges_won"],
-            "goodput_clean_units_per_s": heal_units / max(clean_t, 1e-12),
-            "goodput_chaos_units_per_s": heal_units / max(chaos_t, 1e-12),
-            "goodput_retained": clean_t / max(chaos_t, 1e-12),
-            "values_identical_to_clean": chaos["values"] == clean["values"],
-            "no_lost_or_duplicated_units": (
-                len(chaos["values"]) == heal_units
-            ),
-        }
-
     if not engines:
         raise ValueError(
             f"--workloads {list(selected)!r} matched no benchmark engine"
@@ -939,7 +690,6 @@ def run_benchmarks(
                                  "evaluate_many.strict.cached"),
         "campaign.resume": ("campaign.cold", "campaign.resume"),
         "service.warm_restart": ("service.cold", "service.warm"),
-        "service.fleet": ("service.fleet.single", "service.fleet.quad"),
     }
     return {
         "meta": {

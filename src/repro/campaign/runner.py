@@ -136,7 +136,7 @@ def run_campaign(
 
     ``record_request_ids=True`` (service runs only) stamps every store
     row with the ``request_id`` of the chunk that scored it, joinable
-    against the fleet's flight recorders via ``repro.cli trace``. It is
+    against the server's flight recorder via ``repro.cli trace``. It is
     opt-in precisely because it breaks the byte-identity guarantee
     above: rows gain a provenance field an in-process run cannot have.
     """
@@ -243,7 +243,7 @@ def _run_chunk_via_service(
     crash. The client's retry policy has already absorbed transient
     faults by the time an exception reaches this frame. Error messages
     carry the chunk's trace id when one was minted, so a failed chunk
-    can be walked through the fleet's flight recorders with
+    can be found in the server's flight recorder with
     ``repro.cli trace``.
     """
     def _trace_hint() -> str:
@@ -272,16 +272,8 @@ def _run_chunk_via_service(
     if failures:
         first = failures[0]
         unit = chunk[first.get("index", 0)]
-        quarantined = sum(
-            1 for f in failures if f.get("reason") == "quarantined"
-        )
-        poison_hint = (
-            f" ({quarantined} quarantined as poison after failing on "
-            f"distinct workers)" if quarantined else ""
-        )
         raise CampaignError(
-            f"service failed {len(failures)} unit(s){poison_hint}; "
-            f"first: scenario "
+            f"service failed {len(failures)} unit(s); first: scenario "
             f"{unit.scenario!r} ({first.get('error')}: "
             f"{first.get('message')}){_trace_hint()}"
         )

@@ -19,17 +19,14 @@ Usage::
     python -m repro.cli serve --port 7781 --faults drop:2,crash:1   # chaos
     python -m repro.cli serve --port 7781 --recorder flight.jsonl \
         --slow-threshold 0.5
-    python -m repro.cli serve --role orchestrator --port 7790 \
-        --workers 127.0.0.1:7781,127.0.0.1:7782
-    python -m repro.cli fleet --n-workers 4 --port 7790 --max-entries 64
-    python -m repro.cli fleet --n-workers 2 --recorder-dir flight/
     python -m repro.cli submit --port 7781 --preset smoke
     python -m repro.cli ping --port 7781
     python -m repro.cli stats --port 7781
-    python -m repro.cli stats --port 7790 --watch --interval 2
-    python -m repro.cli metrics --port 7790             # Prometheus text
-    python -m repro.cli metrics --port 7790 --json      # raw snapshot
-    python -m repro.cli trace 1f2e3d4c5b6a7988 --recorder-dir flight/
+    python -m repro.cli stats --port 7781 --watch --interval 2
+    python -m repro.cli metrics --port 7781             # Prometheus text
+    python -m repro.cli metrics --port 7781 --json      # raw snapshot
+    python -m repro.cli profile --port 7781             # phase tree
+    python -m repro.cli trace 1f2e3d4c5b6a7988 --recorder flight.jsonl
     python -m repro.cli shutdown --port 7781
     python -m repro.cli bench --quick --output BENCH_PR4.json
     python -m repro.cli bench --workloads replication --output rep.json
@@ -51,7 +48,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import subprocess
 import sys
 
 
@@ -177,85 +173,6 @@ def _make_recorder(args, parser):
         parser.error(f"cannot open --recorder {args.recorder}: {exc}")
 
 
-def _cmd_serve_orchestrator(args, parser) -> int:
-    from repro.exceptions import ServiceError
-    from repro.service import (
-        OrchestratorServer,
-        RetryPolicy,
-        WorkerCatalog,
-        parse_endpoints,
-    )
-
-    if not args.workers:
-        parser.error("--role orchestrator requires --workers HOST:PORT,...")
-    if args.max_worker_failures < 1:
-        parser.error("--max-worker-failures must be >= 1")
-    if args.ping_interval is not None and args.ping_interval <= 0:
-        parser.error("--ping-interval must be > 0")
-    if args.failover_sweeps < 1:
-        parser.error("--failover-sweeps must be >= 1")
-    if args.breaker_cooldown < 0:
-        parser.error("--breaker-cooldown must be >= 0")
-    if args.hedge_threshold is not None and args.hedge_threshold <= 0:
-        parser.error("--hedge-threshold must be > 0")
-    if args.max_unit_attempts < 1:
-        parser.error("--max-unit-attempts must be >= 1")
-    try:
-        endpoints = parse_endpoints(args.workers)
-    except ServiceError as exc:
-        parser.error(str(exc))
-    catalog = WorkerCatalog(
-        max_consecutive_failures=args.max_worker_failures,
-        breaker_cooldown_s=args.breaker_cooldown,
-    )
-    for worker_host, worker_port in endpoints:
-        catalog.register(worker_host, worker_port)
-    retry = (
-        RetryPolicy(max_attempts=args.failover_sweeps)
-        if args.failover_sweeps > 1 else None
-    )
-    recorder = _make_recorder(args, parser)
-    try:
-        server = OrchestratorServer(
-            catalog,
-            strategy=args.strategy,
-            host=args.host,
-            port=args.port,
-            retry=retry,
-            ping_interval=args.ping_interval,
-            hedge=not args.no_hedge,
-            hedge_threshold=args.hedge_threshold,
-            max_unit_attempts=args.max_unit_attempts,
-            recorder=recorder,
-        )
-    except OSError as exc:
-        parser.error(f"cannot bind {args.host}:{args.port}: {exc}")
-    except ServiceError as exc:
-        parser.error(str(exc))
-    host, port = server.endpoint
-    if args.ready_file:
-        server.write_ready_file(args.ready_file)
-    print(f"serving    : {host}:{port} (orchestrator)")
-    print(f"strategy   : {args.strategy}")
-    print("workers    : " + ", ".join(
-        f"{w.name}={w.endpoint}" for w in catalog.workers()
-    ))
-    if recorder is not None:
-        print(f"recorder   : {args.recorder}")
-    sys.stdout.flush()
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        pass
-    finally:
-        server.server_close()
-        server.wait_for_inflight(timeout=600.0)
-        if recorder is not None:
-            recorder.close()
-    print("stopped")
-    return 0
-
-
 def _cmd_serve(args, parser) -> int:
     from repro.exceptions import ServiceError
     from repro.service import (
@@ -265,10 +182,6 @@ def _cmd_serve(args, parser) -> int:
         ServiceServer,
     )
 
-    if args.role == "orchestrator":
-        return _cmd_serve_orchestrator(args, parser)
-    if args.workers:
-        parser.error("--workers only applies to --role orchestrator")
     if args.n_jobs < 1:
         parser.error("--n-jobs must be >= 1")
     if args.max_entries is not None and args.max_entries < 1:
@@ -343,282 +256,6 @@ def _cmd_serve(args, parser) -> int:
     return 0
 
 
-def _parse_fleet_faults(spec: str, n_workers: int) -> dict[int, str]:
-    """Expand a ``fleet --faults`` value into ``{worker index: spec}``.
-
-    Two shapes: a plain injector spec (``"drop:1"``) arms every worker
-    identically, and per-index clauses (``"0=crash:1;2=hang:1:5"``) arm
-    only the named workers. Each sub-spec is validated eagerly via
-    :meth:`FaultInjector.from_spec`, so a bad clause fails the command
-    instead of a worker at startup.
-    """
-    from repro.exceptions import ServiceError
-    from repro.service import FaultInjector
-
-    plans: dict[int, str] = {}
-    if "=" in spec:
-        for clause in spec.split(";"):
-            clause = clause.strip()
-            if not clause:
-                continue
-            index_text, _, sub_spec = clause.partition("=")
-            try:
-                index = int(index_text)
-            except ValueError:
-                raise ServiceError(
-                    f"invalid fleet fault clause {clause!r}: "
-                    f"{index_text!r} is not a worker index"
-                ) from None
-            if not 0 <= index < n_workers:
-                raise ServiceError(
-                    f"invalid fleet fault clause {clause!r}: worker index "
-                    f"{index} out of range for {n_workers} worker(s)"
-                )
-            plans[index] = sub_spec
-    else:
-        plans = {index: spec for index in range(n_workers)}
-    for sub_spec in plans.values():
-        FaultInjector.from_spec(sub_spec)  # validate eagerly
-    return plans
-
-
-def _cmd_fleet(args, parser) -> int:
-    import tempfile
-
-    from repro.exceptions import ServiceError
-    from repro.service import (
-        FleetSupervisor,
-        OrchestratorServer,
-        RetryPolicy,
-        WorkerCatalog,
-        spawn_worker,
-        wait_for_ready_file,
-    )
-
-    if args.n_workers < 1:
-        parser.error("--n-workers must be >= 1")
-    if args.worker_n_jobs < 1:
-        parser.error("--worker-n-jobs must be >= 1")
-    if args.max_entries is not None and args.max_entries < 1:
-        parser.error("--max-entries must be >= 1")
-    if args.max_worker_failures < 1:
-        parser.error("--max-worker-failures must be >= 1")
-    if args.ping_interval is not None and args.ping_interval <= 0:
-        parser.error("--ping-interval must be > 0")
-    if args.breaker_cooldown < 0:
-        parser.error("--breaker-cooldown must be >= 0")
-    if args.hedge_threshold is not None and args.hedge_threshold <= 0:
-        parser.error("--hedge-threshold must be > 0")
-    if args.max_unit_attempts < 1:
-        parser.error("--max-unit-attempts must be >= 1")
-    if args.capacity is not None and args.capacity < 1:
-        parser.error("--capacity must be >= 1")
-    if args.max_pool_restarts is not None and args.max_pool_restarts < 0:
-        parser.error("--max-pool-restarts must be >= 0")
-    if args.slow_threshold is not None and args.slow_threshold <= 0:
-        parser.error("--slow-threshold must be > 0")
-    if args.slow_threshold is not None and not args.recorder_dir:
-        parser.error("--slow-threshold requires --recorder-dir")
-    if args.max_worker_restarts < 0:
-        parser.error("--max-worker-restarts must be >= 0")
-    if args.supervisor_interval <= 0:
-        parser.error("--supervisor-interval must be > 0")
-    fault_plans: dict[int, str] = {}
-    if args.faults:
-        try:
-            fault_plans = _parse_fleet_faults(args.faults, args.n_workers)
-        except ServiceError as exc:
-            parser.error(str(exc))
-    if args.cache_dir:
-        try:
-            os.makedirs(args.cache_dir, exist_ok=True)
-        except OSError as exc:
-            parser.error(f"cannot create --cache-dir {args.cache_dir}: {exc}")
-    recorder = None
-    if args.recorder_dir:
-        from repro.telemetry import FlightRecorder
-
-        try:
-            os.makedirs(args.recorder_dir, exist_ok=True)
-            recorder = FlightRecorder(
-                os.path.join(args.recorder_dir, "orchestrator.jsonl")
-            )
-        except OSError as exc:
-            parser.error(
-                f"cannot create --recorder-dir {args.recorder_dir}: {exc}"
-            )
-
-    catalog = WorkerCatalog(
-        max_consecutive_failures=args.max_worker_failures,
-        breaker_cooldown_s=args.breaker_cooldown,
-    )
-
-    def worker_spawn_kwargs(index: int) -> dict:
-        return dict(
-            n_jobs=args.worker_n_jobs,
-            max_entries=args.max_entries,
-            cache=(
-                os.path.join(args.cache_dir, f"worker{index}.jsonl")
-                if args.cache_dir else None
-            ),
-            capacity=args.capacity,
-            max_pool_restarts=args.max_pool_restarts,
-            slow_threshold=args.slow_threshold,
-            recorder=(
-                os.path.join(args.recorder_dir, f"w{index}.jsonl")
-                if args.recorder_dir else None
-            ),
-        )
-
-    procs: dict[int, subprocess.Popen] = {}
-    respawn_seq: dict[int, int] = {}
-    server = None
-    supervisor = None
-    exit_code = 0
-    # The temp dir holds the ready-file handshakes — including the ones
-    # respawned workers publish mid-flight — so it lives as long as the
-    # fleet does.
-    with tempfile.TemporaryDirectory(prefix="repro-fleet-") as tmp:
-        try:
-            for index in range(args.n_workers):
-                ready = os.path.join(tmp, f"worker{index}.json")
-                procs[index] = spawn_worker(
-                    ready,
-                    faults=fault_plans.get(index),
-                    **worker_spawn_kwargs(index),
-                )
-            try:
-                for index in range(args.n_workers):
-                    ready = os.path.join(tmp, f"worker{index}.json")
-                    worker_host, worker_port = wait_for_ready_file(
-                        ready,
-                        timeout=args.startup_timeout,
-                        process=procs[index],
-                    )
-                    catalog.register(
-                        worker_host, worker_port,
-                        name=f"w{index}", capacity=args.capacity,
-                    )
-            except ServiceError as exc:
-                print(f"fleet startup failed: {exc}", file=sys.stderr)
-                return 1
-            try:
-                server = OrchestratorServer(
-                    catalog,
-                    strategy=args.strategy,
-                    host=args.host,
-                    port=args.port,
-                    retry=RetryPolicy(),
-                    ping_interval=args.ping_interval,
-                    hedge=not args.no_hedge,
-                    hedge_threshold=args.hedge_threshold,
-                    max_unit_attempts=args.max_unit_attempts,
-                    recorder=recorder,
-                )
-            except OSError as exc:
-                print(
-                    f"cannot bind {args.host}:{args.port}: {exc}",
-                    file=sys.stderr,
-                )
-                return 1
-            if args.supervise:
-                def make_respawn(index: int):
-                    def respawn() -> tuple[str, int]:
-                        old = procs.get(index)
-                        if old is not None and old.poll() is not None:
-                            old.wait()  # reap the corpse
-                        info = catalog.get(f"w{index}")
-                        respawn_seq[index] = respawn_seq.get(index, 0) + 1
-                        ready = os.path.join(
-                            tmp,
-                            f"worker{index}.respawn{respawn_seq[index]}.json",
-                        )
-                        # Prefer the registered port so the worker's
-                        # rendezvous shard flows straight back; fall back
-                        # to an ephemeral port if it is still held.
-                        proc = spawn_worker(
-                            ready, port=info.port, **worker_spawn_kwargs(index)
-                        )
-                        try:
-                            endpoint = wait_for_ready_file(
-                                ready,
-                                timeout=args.startup_timeout,
-                                process=proc,
-                            )
-                        except ServiceError:
-                            if proc.poll() is None:
-                                proc.kill()
-                            proc.wait()
-                            ready = ready + ".ephemeral"
-                            proc = spawn_worker(
-                                ready, port=0, **worker_spawn_kwargs(index)
-                            )
-                            endpoint = wait_for_ready_file(
-                                ready,
-                                timeout=args.startup_timeout,
-                                process=proc,
-                            )
-                        procs[index] = proc
-                        return endpoint
-
-                    return respawn
-
-                supervisor = FleetSupervisor(
-                    catalog,
-                    check_interval=args.supervisor_interval,
-                    max_restarts=args.max_worker_restarts,
-                )
-                for index in range(args.n_workers):
-                    supervisor.watch(
-                        f"w{index}",
-                        is_alive=lambda i=index: procs[i].poll() is None,
-                        respawn=make_respawn(index),
-                    )
-                server.supervisor = supervisor
-                supervisor.start()
-            host, port = server.endpoint
-            if args.ready_file:
-                server.write_ready_file(args.ready_file)
-            print(f"serving    : {host}:{port} (orchestrator)")
-            print(f"strategy   : {args.strategy}")
-            print("workers    : " + ", ".join(
-                f"{w.name}={w.endpoint}" for w in catalog.workers()
-            ))
-            if args.supervise:
-                print(
-                    f"supervisor : every {args.supervisor_interval}s, "
-                    f"budget {args.max_worker_restarts} restarts/worker"
-                )
-            if args.recorder_dir:
-                print(f"recorders  : {args.recorder_dir}")
-            sys.stdout.flush()
-            try:
-                server.serve_forever()
-            except KeyboardInterrupt:  # pragma: no cover - interactive only
-                pass
-        finally:
-            if supervisor is not None:
-                supervisor.stop()
-            if server is not None:
-                server.server_close()
-                server.wait_for_inflight(timeout=600.0)
-                # The fleet owns its workers: ask each daemon to stop,
-                # then reap the subprocesses (hard-kill only the
-                # unresponsive).
-                server.stop_workers()
-            if recorder is not None:
-                recorder.close()
-            for proc in procs.values():
-                try:
-                    proc.wait(timeout=10.0)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait(timeout=10.0)
-                    exit_code = 1
-    print("stopped")
-    return exit_code
-
-
 def _service_client(args):
     from repro.service import RetryPolicy, ServiceClient
 
@@ -649,9 +286,6 @@ def _cmd_ping(args, parser) -> int:
             "in_flight": reply["in_flight"],
             "counters": reply["counters"],
         }
-        for key in ("role", "strategy", "workers"):
-            if key in reply:
-                payload[key] = reply[key]
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     print(f"service    : {args.host}:{args.port}")
@@ -660,17 +294,6 @@ def _cmd_ping(args, parser) -> int:
     if uptime is not None:
         print(f"uptime     : {uptime:.1f}s, {reply.get('in_flight')} in flight")
     counters = reply["counters"]
-    if counters is None and reply.get("role") == "orchestrator":
-        # An orchestrator has no engine of its own: its ping carries the
-        # fleet summary instead of evaluator counters ('stats' has the
-        # per-worker breakdown).
-        workers = reply.get("workers") or {}
-        print(f"role       : orchestrator ({reply.get('strategy')})")
-        print(
-            f"workers    : {workers.get('live', 0)}/{workers.get('total', 0)} "
-            "live"
-        )
-        return 0
     totals = counters["requests"]
     cache = counters["structure_cache"]
     queue = counters["queue"]
@@ -705,65 +328,6 @@ def _cmd_ping(args, parser) -> int:
     return 0
 
 
-def _render_fleet_stats(stats: dict) -> None:
-    """Per-worker table of an orchestrator's aggregated ``stats`` reply."""
-    orch = stats.get("orchestrator") or {}
-    totals = stats.get("totals") or {}
-    cache = stats.get("structure_cache") or {}
-    print(
-        f"orchestrator: strategy={stats.get('strategy')}, "
-        f"{orch.get('requests', 0)} requests, {orch.get('batches', 0)} "
-        f"batches, {orch.get('units', 0)} units, "
-        f"{orch.get('failovers', 0)} failovers, "
-        f"{orch.get('hedges_sent', 0)} hedges sent "
-        f"({orch.get('hedges_won', 0)} won), "
-        f"{orch.get('quarantined', 0)} quarantined"
-    )
-    supervisor = stats.get("supervisor")
-    if supervisor:
-        abandoned = sum(
-            1 for w in supervisor.get("workers") or [] if w.get("abandoned")
-        )
-        print(
-            f"supervisor  : {supervisor.get('respawns', 0)} respawns "
-            f"(budget {supervisor.get('max_restarts', 0)}/worker, "
-            f"{abandoned} abandoned)"
-        )
-    print(
-        f"fleet totals: {totals.get('units', 0)} units, "
-        f"{totals.get('executed', 0)} executed, "
-        f"{totals.get('disk_hits', 0)} disk hits, "
-        f"{totals.get('memo_hits', 0)} memo hits, "
-        f"{totals.get('failures', 0)} failures"
-    )
-    print(
-        f"structure cache: {cache.get('hits', 0)} hits / "
-        f"{cache.get('misses', 0)} misses "
-        f"(hit rate {cache.get('hit_rate', 0.0):.1%}, "
-        f"{cache.get('evictions', 0)} evictions)"
-    )
-    print(
-        f"{'worker':8s} {'endpoint':22s} {'breaker':9s} {'inflt':>5s} "
-        f"{'routed':>6s} {'failov':>6s} {'trips':>5s} {'units':>8s} "
-        f"{'executed':>8s}"
-    )
-    for row in stats.get("workers") or []:
-        reported = row.get("reported") or {}
-        requests = reported.get("requests") or {}
-        units = requests.get("units", "-")
-        executed = requests.get("executed", "-")
-        breaker = (row.get("breaker") or {}).get("state") or (
-            "closed" if row.get("live") else "open"
-        )
-        print(
-            f"{row.get('name', '?'):8s} {row.get('endpoint', '?'):22s} "
-            f"{breaker:9s} "
-            f"{row.get('in_flight', 0):>5d} {row.get('routed', 0):>6d} "
-            f"{row.get('failovers', 0):>6d} {row.get('evictions', 0):>5d} "
-            f"{units!s:>8s} {executed!s:>8s}"
-        )
-
-
 def _cmd_stats(args, parser) -> int:
     import time
 
@@ -787,15 +351,10 @@ def _cmd_stats(args, parser) -> int:
         except ServiceError as exc:
             print(f"stats failed: {exc}", file=sys.stderr)
             return 1
-        if stats.get("role") == "orchestrator" and not args.json:
-            # The fleet view gets an operator table; --json restores the
-            # raw aggregate for jq/grep consumers.
-            _render_fleet_stats(stats)
-        else:
-            # Worker daemons always dump pure JSON: this is the
-            # operator/CI introspection surface, meant for jq/grep
-            # (admission depth, shed count, pool restarts).
-            print(json.dumps(stats, indent=2, sort_keys=True))
+        # Always pure JSON: this is the operator/CI introspection
+        # surface, meant for jq/grep (admission depth, shed count, pool
+        # restarts).
+        print(json.dumps(stats, indent=2, sort_keys=True))
         sys.stdout.flush()
     return 0
 
@@ -810,14 +369,12 @@ def _cmd_metrics(args, parser) -> int:
         print(f"metrics failed: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        # Pure-JSON mode: the merged snapshot, pipeable to jq.
+        # Pure-JSON mode: the registry snapshot, pipeable to jq.
         payload = {
             "role": reply.get("role"),
             "version": reply.get("version"),
             "metrics": reply.get("metrics") or {},
         }
-        if "workers_reporting" in reply:
-            payload["workers_reporting"] = reply["workers_reporting"]
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     # Default: Prometheus text exposition, scrapeable as-is.
@@ -860,7 +417,7 @@ def _cmd_bench_compare(args, parser) -> int:
 
 
 def _render_top(stats: dict, metrics: dict, prof: dict, *, top_k: int) -> None:
-    """One dashboard frame: totals, workers, latency, hottest phases."""
+    """One dashboard frame: totals, cache, latency, hottest phases."""
     from repro.telemetry.profile import flatten_phases
 
     role = stats.get("role", "worker")
@@ -871,82 +428,29 @@ def _render_top(stats: dict, metrics: dict, prof: dict, *, top_k: int) -> None:
     line += f", in-flight {stats.get('in_flight', 0)}"
     print(line)
 
-    if role == "orchestrator":
-        totals = stats.get("totals") or {}
-        cache = stats.get("structure_cache") or {}
-        hit_rate = cache.get("hit_rate", 0.0)
-        orch = stats.get("orchestrator") or {}
-        supervisor = stats.get("supervisor") or {}
-        print(
-            f"fleet: {totals.get('units', 0)} units, "
-            f"{totals.get('executed', 0)} executed, "
-            f"{totals.get('disk_hits', 0)} disk hits, "
-            f"{totals.get('memo_hits', 0)} memo hits, "
-            f"{totals.get('failures', 0)} failures"
-        )
-        print(
-            f"health: {orch.get('failovers', 0)} failovers, "
-            f"{orch.get('hedges_sent', 0)} hedges sent "
-            f"({orch.get('hedges_won', 0)} won), "
-            f"{orch.get('quarantined', 0)} quarantined, "
-            f"{supervisor.get('respawns', 0)} respawns"
-        )
-        print(
-            f"cache: hit rate {hit_rate:.1%} ({cache.get('hits', 0)} hits / "
-            f"{cache.get('misses', 0)} misses, "
-            f"{cache.get('evictions', 0)} evictions)"
-        )
-        rows = stats.get("workers") or []
-        if rows:
-            print(
-                f"{'worker':8s} {'breaker':9s} {'inflt':>5s} {'routed':>6s} "
-                f"{'failov':>6s} {'units':>8s} {'executed':>8s}"
-            )
-        for row in rows:
-            reported = row.get("reported") or {}
-            requests = reported.get("requests") or {}
-            breaker = (row.get("breaker") or {}).get("state") or (
-                "closed" if row.get("live") else "open"
-            )
-            print(
-                f"{row.get('name', '?'):8s} "
-                f"{breaker:9s} "
-                f"{row.get('in_flight', 0):>5d} {row.get('routed', 0):>6d} "
-                f"{row.get('failovers', 0):>6d} "
-                f"{requests.get('units', '-')!s:>8s} "
-                f"{requests.get('executed', '-')!s:>8s}"
-            )
-    else:
-        counters = stats.get("counters") or {}
-        requests = counters.get("requests") or {}
-        cache = counters.get("structure_cache") or {}
-        cache_requests = cache.get("requests", 0)
-        hit_rate = cache.get("hits", 0) / cache_requests if cache_requests else 0.0
-        print(
-            f"worker: {requests.get('units', 0)} units, "
-            f"{requests.get('executed', 0)} executed, "
-            f"{requests.get('disk_hits', 0)} disk hits, "
-            f"{requests.get('memo_hits', 0)} memo hits, "
-            f"{requests.get('failures', 0)} failures, "
-            f"shed {stats.get('shed', 0)}"
-        )
-        print(
-            f"cache: hit rate {hit_rate:.1%} ({cache.get('hits', 0)} hits / "
-            f"{cache.get('misses', 0)} misses, "
-            f"{cache.get('evictions', 0)} evictions)"
-        )
+    counters = stats.get("counters") or {}
+    requests = counters.get("requests") or {}
+    cache = counters.get("structure_cache") or {}
+    cache_requests = cache.get("requests", 0)
+    hit_rate = cache.get("hits", 0) / cache_requests if cache_requests else 0.0
+    print(
+        f"worker: {requests.get('units', 0)} units, "
+        f"{requests.get('executed', 0)} executed, "
+        f"{requests.get('disk_hits', 0)} disk hits, "
+        f"{requests.get('memo_hits', 0)} memo hits, "
+        f"{requests.get('failures', 0)} failures, "
+        f"shed {stats.get('shed', 0)}"
+    )
+    print(
+        f"cache: hit rate {hit_rate:.1%} ({cache.get('hits', 0)} hits / "
+        f"{cache.get('misses', 0)} misses, "
+        f"{cache.get('evictions', 0)} evictions)"
+    )
 
-    shown_latency = False
-    for name in (
-        "repro_orchestrator_request_seconds",
-        "repro_engine_batch_seconds",
-    ):
-        entry = metrics.get(name)
-        if not isinstance(entry, dict) or not entry.get("count"):
-            continue
-        if not shown_latency:
-            print()
-            shown_latency = True
+    name = "repro_engine_batch_seconds"
+    entry = metrics.get(name)
+    if isinstance(entry, dict) and entry.get("count"):
+        print()
         print(
             f"{name}: n={entry['count']} "
             f"p50={entry.get('p50', 0.0) * 1e3:.1f}ms "
@@ -955,12 +459,6 @@ def _render_top(stats: dict, metrics: dict, prof: dict, *, top_k: int) -> None:
         )
 
     rows = list(flatten_phases((prof.get("profile") or {}).get("phases") or {}))
-    rows.extend(
-        (f"orch/{path}", node)
-        for path, node in flatten_phases(
-            (prof.get("orchestrator") or {}).get("phases") or {}
-        )
-    )
     rows.sort(key=lambda r: (-r[1].get("self_s", 0.0), r[0]))
     if rows:
         print()
@@ -1024,36 +522,22 @@ def _cmd_profile(args, parser) -> int:
         print(f"profile failed: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        # Pure-JSON mode: the merged phase tree, pipeable to jq.
+        # Pure-JSON mode: the phase tree, pipeable to jq.
         payload = {
             "role": reply.get("role"),
             "version": reply.get("version"),
             "profile": reply.get("profile") or {},
         }
-        if "workers_reporting" in reply:
-            payload["workers_reporting"] = reply["workers_reporting"]
-        if "orchestrator" in reply:
-            payload["orchestrator"] = reply["orchestrator"]
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     profile = reply.get("profile") or {}
     phases = profile.get("phases") or {}
-    if reply.get("role") == "orchestrator":
-        print(
-            f"fleet profile "
-            f"({reply.get('workers_reporting', 0)} worker(s) reporting)"
-        )
     if phases:
         print(render_profile(phases))
     elif profile.get("enabled", True):
         print("no phases recorded yet")
     else:
         print("profiler disabled")
-    orch_phases = (reply.get("orchestrator") or {}).get("phases") or {}
-    if orch_phases:
-        print()
-        print("orchestrator:")
-        print(render_profile(orch_phases))
     return 0
 
 
@@ -1096,21 +580,13 @@ def _cmd_trace(args, parser) -> int:
         node = event.get("node", "?")
         kind = event.get("kind", "?")
         line = f"  {name:16s} {node:12s} {kind:8s}"
-        if kind == "hop":
-            status = event.get("status", "?")
-            line += f" -> {event.get('worker', '?')} [{status}]"
-            if event.get("units") is not None:
-                line += f" units={event['units']}"
-            if event.get("error"):
-                line += f" error={event['error']}"
-        else:
-            op = event.get("op")
-            if op:
-                line += f" op={op}"
-            if event.get("ok") is False:
-                line += " FAILED"
-            if event.get("slow"):
-                line += " SLOW"
+        op = event.get("op")
+        if op:
+            line += f" op={op}"
+        if event.get("ok") is False:
+            line += " FAILED"
+        if event.get("slow"):
+            line += " SLOW"
         spans = event.get("spans") or {}
         if spans:
             line += "  " + " ".join(
@@ -1558,7 +1034,7 @@ def main(argv: list[str] | None = None) -> int:
     servep.add_argument(
         "--recorder", default=None, metavar="FILE",
         help="flight-recorder JSONL file: one event per traced request "
-        "('repro.cli trace' joins these across a fleet; default: off)",
+        "('repro.cli trace' finds them by request id; default: off)",
     )
     servep.add_argument(
         "--recorder-max-bytes", type=int, default=16_000_000,
@@ -1569,191 +1045,6 @@ def main(argv: list[str] | None = None) -> int:
         "--slow-threshold", type=float, default=None, metavar="SECONDS",
         help="recorder events at least this slow are marked and logged "
         "at WARNING (default: off; requires --recorder)",
-    )
-
-    from repro.service.routing import available_strategies
-
-    servep.add_argument(
-        "--role", choices=("worker", "orchestrator"), default="worker",
-        help="worker: evaluate requests in this process (the default); "
-        "orchestrator: forward them across a fleet named by --workers",
-    )
-    servep.add_argument(
-        "--workers", default=None, metavar="HOST:PORT,...",
-        help="comma-separated worker endpoints for --role orchestrator",
-    )
-    fleet_tuning = [
-        (
-            "--strategy",
-            dict(
-                choices=available_strategies(),
-                default="fingerprint_affinity",
-                help="how the orchestrator routes requests to workers "
-                "(default: %(default)s)",
-            ),
-        ),
-        (
-            "--ping-interval",
-            dict(
-                type=float, default=2.0, metavar="SECONDS",
-                help="liveness-ping period; failed workers are evicted "
-                "from the rotation, recovered ones revived "
-                "(default: %(default)s)",
-            ),
-        ),
-        (
-            "--max-worker-failures",
-            dict(
-                type=int, default=3, metavar="N",
-                help="consecutive failures before a worker's circuit "
-                "breaker trips (default: %(default)s)",
-            ),
-        ),
-        (
-            "--breaker-cooldown",
-            dict(
-                type=float, default=5.0, metavar="SECONDS",
-                help="cooldown before a tripped worker gets its single "
-                "half-open probe; doubles per consecutive trip "
-                "(default: %(default)s)",
-            ),
-        ),
-        (
-            "--hedge-threshold",
-            dict(
-                type=float, default=None, metavar="SECONDS",
-                help="fixed latency past which a pending sub-batch is "
-                "speculatively re-dispatched to the next-ranked live "
-                "worker, first reply winning (default: derived from the "
-                "shard-latency histogram's p95)",
-            ),
-        ),
-        (
-            "--no-hedge",
-            dict(
-                action="store_true",
-                help="disable hedged dispatch entirely",
-            ),
-        ),
-        (
-            "--max-unit-attempts",
-            dict(
-                type=int, default=3, metavar="N",
-                help="distinct workers a unit may fail on before it is "
-                "quarantined as a structured failure instead of being "
-                "re-dispatched forever (default: %(default)s)",
-            ),
-        ),
-    ]
-    for flag, options in fleet_tuning:
-        servep.add_argument(flag, **options)
-    servep.add_argument(
-        "--failover-sweeps", type=int, default=3,
-        help="full passes over the failover ranking before the "
-        "orchestrator reports a request as failed (default: %(default)s)",
-    )
-
-    fleetp = sub.add_parser(
-        "fleet",
-        help="spawn N worker daemons plus an orchestrator fronting them "
-        "(one endpoint, runs until shutdown)",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=(
-            "flag routing — per-worker vs orchestrator:\n"
-            "  worker-level (applied to every spawned 'serve' daemon):\n"
-            "    --worker-n-jobs, --max-entries, --cache-dir, --capacity,\n"
-            "    --max-pool-restarts, --slow-threshold, --faults\n"
-            "  orchestrator-level (routing, liveness and repair policy):\n"
-            "    --strategy, --ping-interval, --max-worker-failures,\n"
-            "    --breaker-cooldown, --hedge-threshold, --no-hedge,\n"
-            "    --max-unit-attempts, --supervise, --max-worker-restarts,\n"
-            "    --supervisor-interval\n"
-            "  --faults takes one spec for every worker ('drop:1') or\n"
-            "  per-index clauses ('0=crash:1;2=hang:1:5'); --supervise\n"
-            "  respawns dead workers on their registered ports (bounded\n"
-            "  budget, exponential backoff) and re-announces them for a\n"
-            "  half-open breaker probe."
-        ),
-    )
-    fleetp.add_argument(
-        "--n-workers", type=int, default=2,
-        help="worker daemons to spawn (default: %(default)s)",
-    )
-    fleetp.add_argument("--host", default=DEFAULT_HOST)
-    fleetp.add_argument(
-        "--port", type=int, default=DEFAULT_PORT,
-        help="orchestrator TCP port (0 picks an ephemeral one; workers "
-        "always bind ephemeral ports; default: %(default)s)",
-    )
-    for flag, options in fleet_tuning:
-        fleetp.add_argument(flag, **options)
-    fleetp.add_argument(
-        "--worker-n-jobs", type=int, default=1,
-        help="evaluation processes per worker (default: serial)",
-    )
-    fleetp.add_argument(
-        "--max-entries", type=int, default=None,
-        help="LRU bound per worker structure-cache map "
-        "(default: unbounded)",
-    )
-    fleetp.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="directory for per-worker persistent score caches "
-        "(worker<k>.jsonl; default: memory only)",
-    )
-    fleetp.add_argument(
-        "--recorder-dir", default=None, metavar="DIR",
-        help="directory for per-node flight recorders (w<k>.jsonl per "
-        "worker plus orchestrator.jsonl, joinable on request_id via "
-        "'repro.cli trace --recorder-dir DIR'; default: off)",
-    )
-    fleetp.add_argument(
-        "--ready-file", default=None, metavar="FILE",
-        help="write the orchestrator's {host, port, pid} JSON here once "
-        "the whole fleet is up",
-    )
-    fleetp.add_argument(
-        "--startup-timeout", type=float, default=30.0,
-        help="seconds to wait for each worker's ready file "
-        "(default: %(default)s)",
-    )
-    fleetp.add_argument(
-        "--capacity", type=int, default=None,
-        help="per-worker admission bound: max concurrently dispatched "
-        "work requests on each spawned daemon (default: unbounded)",
-    )
-    fleetp.add_argument(
-        "--max-pool-restarts", type=int, default=None,
-        help="per-worker pool rebuilds after crashes before that worker "
-        "degrades to serial evaluation (default: the daemon's own "
-        "default)",
-    )
-    fleetp.add_argument(
-        "--slow-threshold", type=float, default=None, metavar="SECONDS",
-        help="per-worker slow-request mark for the flight recorders "
-        "(requires --recorder-dir; default: off)",
-    )
-    fleetp.add_argument(
-        "--faults", default=None, metavar="SPEC",
-        help="fault injection on the spawned workers: one spec for all "
-        "('drop:1') or per-index clauses ('0=crash:1;2=hang:1:5'; "
-        "chaos testing; default: none)",
-    )
-    fleetp.add_argument(
-        "--supervise", action="store_true",
-        help="watch the spawned workers and respawn dead ones on their "
-        "registered endpoints (bounded restart budget, exponential "
-        "backoff), re-announcing them to the catalog for a half-open "
-        "breaker probe (default: off)",
-    )
-    fleetp.add_argument(
-        "--max-worker-restarts", type=int, default=3, metavar="N",
-        help="respawns each supervised worker may consume before it is "
-        "abandoned (default: %(default)s)",
-    )
-    fleetp.add_argument(
-        "--supervisor-interval", type=float, default=1.0, metavar="SECONDS",
-        help="supervisor health-check cadence (default: %(default)s)",
     )
 
     pingp = sub.add_parser(
@@ -1768,19 +1059,17 @@ def main(argv: list[str] | None = None) -> int:
     metricsp = sub.add_parser(
         "metrics",
         help="scrape a running service's metrics registry (Prometheus "
-        "text by default; orchestrators merge the whole fleet's "
-        "histograms; exit 0: alive, 1: unreachable)",
+        "text by default; exit 0: alive, 1: unreachable)",
     )
     profilep = sub.add_parser(
         "profile",
         help="dump a running service's per-phase cost-attribution tree "
-        "(orchestrators merge the whole fleet's phase trees; "
-        "exit 0: alive, 1: unreachable)",
+        "(exit 0: alive, 1: unreachable)",
     )
     topp = sub.add_parser(
         "top",
-        help="live fleet dashboard: totals, per-worker rows, cache hit "
-        "rates, latency percentiles and the hottest phases, refreshed "
+        help="live service dashboard: totals, cache hit rates, latency "
+        "percentiles and the hottest phases, refreshed "
         "in place (exit 0: alive, 1: unreachable)",
     )
     submitp = sub.add_parser(
@@ -1816,11 +1105,6 @@ def main(argv: list[str] | None = None) -> int:
         help="dump the raw counter block as JSON",
     )
     statsp.add_argument(
-        "--json", action="store_true",
-        help="force raw JSON output (orchestrators render a per-worker "
-        "table otherwise; plain workers always print JSON)",
-    )
-    statsp.add_argument(
         "--watch", action="store_true",
         help="keep polling instead of sampling once (Ctrl-C to stop)",
     )
@@ -1834,12 +1118,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     metricsp.add_argument(
         "--json", action="store_true",
-        help="dump the merged metrics snapshot as JSON instead of "
+        help="dump the metrics snapshot as JSON instead of "
         "Prometheus text exposition",
     )
     profilep.add_argument(
         "--json", action="store_true",
-        help="dump the merged phase tree as JSON instead of a table",
+        help="dump the phase tree as JSON instead of a table",
     )
     topp.add_argument(
         "--interval", type=float, default=2.0, metavar="SECONDS",
@@ -1860,8 +1144,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     tracep = sub.add_parser(
         "trace",
-        help="reconstruct one traced request's path (client id -> "
-        "orchestrator hops -> workers) from flight-recorder files "
+        help="find one traced request's events and span timings in "
+        "flight-recorder files "
         "(exit 0: found, 1: no events)",
     )
     tracep.add_argument(
@@ -1876,8 +1160,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     tracep.add_argument(
         "--recorder-dir", default=None, metavar="DIR",
-        help="search every *.jsonl recorder in this directory "
-        "(the layout 'repro.cli fleet --recorder-dir' writes)",
+        help="search every *.jsonl recorder in this directory",
     )
     tracep.add_argument(
         "--json", action="store_true",
@@ -2004,8 +1287,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_campaign(args, parser)
     if args.command == "serve":
         return _cmd_serve(args, parser)
-    if args.command == "fleet":
-        return _cmd_fleet(args, parser)
     if args.command == "ping":
         return _cmd_ping(args, parser)
     if args.command == "stats":

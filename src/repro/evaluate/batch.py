@@ -49,17 +49,11 @@ class TaskFailure:
     #: Trace id of the request this failure was answered under, when it
     #: travelled through the service (None for direct batch runs).
     request_id: str | None = None
-    #: Structured cause beyond the exception, e.g. ``"quarantined"`` for
-    #: a unit the orchestrator refused to keep re-dispatching after it
-    #: failed on ``max_unit_attempts`` distinct workers.
-    reason: str | None = None
 
     def to_dict(self) -> dict:
         record = {"error": self.error, "message": self.message}
         if self.request_id is not None:
             record["request_id"] = self.request_id
-        if self.reason is not None:
-            record["reason"] = self.reason
         return record
 
     @classmethod

@@ -10,6 +10,8 @@ exist).
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -68,21 +70,20 @@ class CTMC:
           ``P = I + Q/Λ``;
         * ``"dense"`` — dense least squares (small chains, oracle for
           tests);
-        * ``"auto"`` — ``direct`` with a fallback to ``power`` when the
-          factorization is singular.
+        * ``"auto"`` — the sparse LU, i.e. ``"direct"``.
 
         The sparse LU is exact and fast up to ~10⁴ states; torus-like
         marking chains (large buffer capacities) produce heavy fill-in,
         where ``"power"`` trades exactness-in-one-shot for bounded memory.
+
+        A chain with more than one closed class has no unique stationary
+        law: its generator is singular, and ``"direct"``/``"auto"`` raise
+        :class:`~repro.exceptions.ConvergenceError` rather than fall back
+        to ``"power"``, whose answer would depend on the start vector.
         """
         if self.n_states == 1:
             return np.ones(1)
-        if method == "auto":
-            try:
-                return self._solve_direct()
-            except (RuntimeError, ValueError):
-                return self._solve_power()
-        if method == "direct":
+        if method in ("auto", "direct"):
             return self._solve_direct()
         if method == "power":
             return self._solve_power()
@@ -97,7 +98,16 @@ class CTMC:
         a = sp.vstack([qt[: n - 1, :], ones]).tocsc()
         b = np.zeros(n)
         b[-1] = 1.0
-        pi = spla.spsolve(a, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", spla.MatrixRankWarning)
+            try:
+                pi = spla.spsolve(a, b)
+            except spla.MatrixRankWarning:
+                raise ConvergenceError(
+                    f"singular generator ({n} states): the chain has no "
+                    "unique closed class, so no unique stationary "
+                    "distribution"
+                ) from None
         return self._clean(pi)
 
     def _solve_dense(self) -> np.ndarray:

@@ -1,9 +1,7 @@
 """Long-lived throughput-evaluation service (daemon + client, stdlib-only).
 
-PRs 1-3 made the throughput oracle fast, uniform and scriptable; this
-subsystem makes it *resident*. A ``repro.cli serve`` process keeps the
-expensive state alive between requests and answers JSON-framed queries
-over a loopback socket:
+A ``repro.cli serve`` process keeps the expensive state alive between
+requests and answers JSON-framed queries over a loopback socket:
 
 * :mod:`repro.service.protocol` — newline-delimited JSON framing;
 * :mod:`repro.service.diskcache` — tier-2 persistent score cache
@@ -24,60 +22,32 @@ over a loopback socket:
   graceful drain) and the client library (per-request deadlines,
   retry with exponential backoff) behind ``repro.cli
   serve/submit/ping/stats/shutdown`` and ``campaign run
-  --via-service``;
-* :mod:`repro.service.catalog` / :mod:`repro.service.routing` /
-  :mod:`repro.service.orchestrator` / :mod:`repro.service.fleet` — the
-  fleet tier: a worker registry with per-worker circuit breakers
-  (closed → open → half-open, escalating cooldowns, probation after
-  recovery), a routing strategy registry (``round_robin`` /
-  ``worst_fit`` / ``fingerprint_affinity`` rendezvous hashing), an
-  orchestrator speaking the *same* protocol that shards batches across
-  workers, fails over when one dies mid-request, hedges straggling
-  shards onto the next-ranked candidate, quarantines poison units
-  after they fail on distinct workers, and aggregates fleet
-  statistics, plus a :class:`FleetSupervisor` that respawns dead
-  worker processes (bounded budget, exponential backoff) and
-  re-announces them for a half-open probe — behind ``repro.cli serve
-  --role orchestrator`` and ``repro.cli fleet --supervise``.
+  --via-service``.
+
+One server is the whole deployment: the structure cache is the thing
+that makes repeat queries cheap, and one process holding the whole
+cache answers a mixed trace faster than the same cache split across
+shards (see ``BENCH_PR13.json``).
 
 Observability (see :mod:`repro.telemetry`): every frame may carry a
-``request_id`` trace token (minted by :class:`ServiceClient`, forwarded
-into sub-batches and failover re-dispatches), every tier registers into
-a process-local metrics registry exposed by the ``metrics`` op (JSON +
-Prometheus text, fleet-merged on the orchestrator), and servers can log
-one JSONL event per request/hop to a crash-safe flight recorder that
-``repro.cli trace`` joins across files.
+``request_id`` trace token (minted by :class:`ServiceClient` and reused
+across retries), the engine registers into a process-local metrics
+registry exposed by the ``metrics`` op (JSON + Prometheus text) and a
+phase profiler exposed by the ``profile`` op, and the server can log
+one JSONL event per traced request to a crash-safe flight recorder
+that ``repro.cli trace`` searches.
 """
 
-from repro.service.catalog import WorkerCatalog, WorkerInfo
 from repro.service.client import RetryPolicy, ServiceClient, wait_for_service
 from repro.service.diskcache import DiskScoreCache, score_digest
 from repro.service.faults import FaultInjector
-from repro.service.fleet import (
-    FleetSupervisor,
-    LocalFleet,
-    local_fleet,
-    spawn_worker,
-    wait_for_ready_file,
-)
-from repro.service.orchestrator import (
-    OrchestratorServer,
-    serve_orchestrator_in_thread,
-)
 from repro.service.protocol import (
     DEFAULT_HOST,
     DEFAULT_PORT,
     parse_endpoint,
-    parse_endpoints,
     publish_ready_file,
 )
 from repro.service.queue import CoalescingQueue
-from repro.service.routing import (
-    available_strategies,
-    make_strategy,
-    register_strategy,
-    task_routing_key,
-)
 from repro.service.server import ServiceServer, serve_in_thread
 from repro.service.workers import EvaluationEngine, normalize_task
 
@@ -88,27 +58,13 @@ __all__ = [
     "DiskScoreCache",
     "EvaluationEngine",
     "FaultInjector",
-    "FleetSupervisor",
-    "LocalFleet",
-    "OrchestratorServer",
     "RetryPolicy",
     "ServiceClient",
     "ServiceServer",
-    "WorkerCatalog",
-    "WorkerInfo",
-    "available_strategies",
-    "local_fleet",
-    "make_strategy",
     "normalize_task",
     "parse_endpoint",
-    "parse_endpoints",
     "publish_ready_file",
-    "register_strategy",
     "score_digest",
     "serve_in_thread",
-    "serve_orchestrator_in_thread",
-    "spawn_worker",
-    "task_routing_key",
-    "wait_for_ready_file",
     "wait_for_service",
 ]

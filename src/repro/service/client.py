@@ -137,10 +137,10 @@ class ServiceClient:
         self.retries = 0
         #: Trace id of the most recent request (minted per logical
         #: request and reused across its retries, so one id follows the
-        #: request through orchestrator and worker flight recorders).
+        #: request through the server's flight recorder).
         self.last_request_id: str | None = None
         #: The ``telemetry`` block of the most recent successful work
-        #: reply (per-hop span timings), or None.
+        #: reply (the server's span timings), or None.
         self.last_telemetry: dict | None = None
         self._rng = random.Random(retry.seed if retry is not None else None)
         self._sock: socket.socket | None = None
@@ -218,21 +218,11 @@ class ServiceClient:
                 f"service at {self.host}:{self.port} closed the connection"
             )
         if not reply.get("ok"):
-            # Typed errors survive one forwarding hop: an orchestrator
-            # that lost its whole fleet mid-request replies with the
-            # transient error *type*, and reconstructing it here keeps
-            # the failure retryable instead of flattening it into a
-            # permanent ServiceError.
-            error_type = reply.get("error_type")
             message = reply.get("error", "service refused the request")
-            if error_type == "ServiceOverloaded":
+            if reply.get("error_type") == "ServiceOverloaded":
                 raise ServiceOverloaded(
                     message, retry_after=reply.get("retry_after")
                 )
-            if error_type == "ServiceUnavailable":
-                raise ServiceUnavailable(message)
-            if error_type == "ServiceTimeout":
-                raise ServiceTimeout(message)
             raise ServiceError(message)
         self.last_telemetry = reply.get("telemetry")
         return reply
@@ -248,8 +238,7 @@ class ServiceClient:
 
         Every frame carries a ``request_id`` trace token, minted here
         unless the caller supplied one; retries re-send the *same* id,
-        so a request that failed over inside the fleet is still one
-        trace in the flight recorders.
+        so a retried request is still one trace in the flight recorder.
         """
         if "request_id" not in payload:
             payload = dict(payload, request_id=new_request_id())
@@ -286,19 +275,12 @@ class ServiceClient:
         ``counters`` carries the engine/cache/queue/pool statistics.
         """
         reply = self.request({"op": "ping"}, timeout=timeout)
-        result = {
+        return {
             "version": reply.get("version"),
             "uptime_s": reply.get("uptime_s"),
             "in_flight": reply.get("in_flight"),
             "counters": reply.get("counters"),
         }
-        # Fleet-aware fields (an orchestrator answers with its role,
-        # routing strategy and live-worker summary instead of engine
-        # counters); absent on a plain worker daemon.
-        for key in ("role", "strategy", "workers"):
-            if key in reply:
-                result[key] = reply[key]
-        return result
 
     def stats(self, *, timeout=_UNSET) -> dict:
         """Operator statistics: admission queue, shedding, pool restarts.
@@ -314,8 +296,7 @@ class ServiceClient:
 
         Returns ``{"metrics": snapshot, "exposition": text, ...}`` —
         the JSON snapshot for programs, the Prometheus text exposition
-        for scrapers. An orchestrator answers with the fleet-merged
-        histograms and counters plus ``workers_reporting``.
+        for scrapers.
         """
         reply = self.request({"op": "metrics"}, timeout=timeout)
         return {k: v for k, v in reply.items() if k not in ("ok", "op")}
@@ -323,10 +304,8 @@ class ServiceClient:
     def profile(self, *, timeout=_UNSET) -> dict:
         """Fetch the per-phase cost-attribution tree.
 
-        Returns ``{"profile": snapshot, ...}`` — a worker answers with
-        its engine profiler's phase tree; an orchestrator answers with
-        the fleet-merged tree plus its own route/merge/request tree
-        under ``orchestrator`` and ``workers_reporting``.
+        Returns ``{"profile": snapshot, ...}`` — the engine profiler's
+        phase tree.
         """
         reply = self.request({"op": "profile"}, timeout=timeout)
         return {k: v for k, v in reply.items() if k not in ("ok", "op")}

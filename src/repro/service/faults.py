@@ -22,16 +22,6 @@ Supported kinds and their hook points:
 * ``torn_tail`` — the tier-2 disk cache's JSONL file loses the second
   half of its final record (exactly what a kill mid-``write`` leaves
   behind), which the next load must drop and repair;
-* ``hang`` — the server handler stalls ``hang_s`` seconds *before*
-  doing any work, the way a wedged worker stalls a whole sub-batch:
-  clients hit their deadline, and the orchestrator's hedged dispatch
-  must rescue the shard on another candidate;
-* ``flap`` — the server handler alternates between severing the
-  connection pre-work and serving normally (``flap:2`` fails requests
-  1 and 3, serves 2 and 4), the pathology circuit breakers exist for:
-  a plain evict/revive catalog would feed a flapping worker one real
-  request per recovery.
-
 Injectors come from three places: constructed directly in tests, parsed
 from a spec string (``"drop:2,crash:1,delay:1:0.5"``), or read from the
 ``REPRO_FAULTS`` environment variable by ``repro.cli serve``.
@@ -46,20 +36,13 @@ import time
 from repro.exceptions import ServiceError
 
 #: Every fault kind an injector understands.
-FAULT_KINDS = ("drop", "delay", "crash", "torn_tail", "hang", "flap")
+FAULT_KINDS = ("drop", "delay", "crash", "torn_tail")
 
 #: Environment variable ``repro.cli serve`` reads a fault spec from.
 FAULTS_ENV = "REPRO_FAULTS"
 
 #: Default sleep of a ``delay`` fault (seconds).
 DEFAULT_DELAY_S = 0.25
-
-#: Default stall of a ``hang`` fault (seconds) — long enough that any
-#: armed client deadline or hedge threshold fires first.
-DEFAULT_HANG_S = 30.0
-
-#: Spec clauses that accept a trailing ``:SECONDS`` field.
-_TIMED_KINDS = ("delay", "hang")
 
 
 def _exit_worker() -> None:  # pragma: no cover - runs in a worker process
@@ -81,15 +64,11 @@ class FaultInjector:
         plan: dict[str, int] | None = None,
         *,
         delay_s: float = DEFAULT_DELAY_S,
-        hang_s: float = DEFAULT_HANG_S,
     ) -> None:
         self._lock = threading.Lock()
         self._armed: dict[str, int] = {}
         self.fired: dict[str, int] = dict.fromkeys(FAULT_KINDS, 0)
         self.delay_s = float(delay_s)
-        self.hang_s = float(hang_s)
-        #: ``flap`` alternator: the next armed flap fires only when True.
-        self._flap_fail_next = True
         for kind, count in (plan or {}).items():
             self.arm(kind, count)
 
@@ -131,36 +110,6 @@ class FaultInjector:
             return False
         time.sleep(self.delay_s)
         return True
-
-    def hang_if_armed(self) -> bool:
-        """``hang`` hook: stall *before* the work starts (server handler).
-
-        The admission slot stays held for the whole stall, exactly like a
-        wedged worker at capacity; the request still completes afterwards
-        so a hedged duplicate can win the race and discard this reply.
-        """
-        if not self.take("hang"):
-            return False
-        time.sleep(self.hang_s)
-        return True
-
-    def flap_now(self) -> bool:
-        """``flap`` hook: should this work request be severed pre-work?
-
-        Alternates fail/serve while the ``flap`` budget lasts, consuming
-        one firing per severed request — the canonical flapping worker
-        that a plain evict/revive liveness model keeps feeding traffic.
-        """
-        with self._lock:
-            if self._armed.get("flap", 0) <= 0:
-                return False
-            if not self._flap_fail_next:
-                self._flap_fail_next = True
-                return False
-            self._armed["flap"] -= 1
-            self.fired["flap"] += 1
-            self._flap_fail_next = False
-            return True
 
     def kill_pool_worker(self, pool) -> None:
         """``crash`` hook body: abruptly kill one worker of ``pool``.
@@ -220,11 +169,10 @@ class FaultInjector:
         """Parse ``"kind:count[,kind:count[:seconds]...]"`` into an injector.
 
         Examples: ``"drop:2"``, ``"crash:1,torn_tail:1"``,
-        ``"delay:3:0.5"`` (three delayed replies of 0.5 s each),
-        ``"hang:1:5"`` (one 5 s pre-work stall), ``"flap:2"``.
+        ``"delay:3:0.5"`` (three delayed replies of 0.5 s each).
 
         Everything is validated here, at parse time: counts must be
-        positive integers and ``delay``/``hang`` seconds non-negative
+        positive integers and ``delay`` seconds non-negative
         numbers, with errors naming the offending clause — a bad value
         must fail the ``serve --faults`` invocation, not surface minutes
         later when the fault finally fires.
@@ -254,10 +202,10 @@ class FaultInjector:
                     f"count must be a positive integer, got {count}"
                 )
             if len(fields) == 3:
-                if kind not in _TIMED_KINDS:
+                if kind != "delay":
                     raise ServiceError(
-                        f"only {' and '.join(repr(k) for k in _TIMED_KINDS)} "
-                        f"take a third SECONDS field, got {part!r}"
+                        f"only 'delay' takes a third SECONDS field, "
+                        f"got {part!r}"
                     )
                 try:
                     seconds = float(fields[2])
@@ -271,10 +219,7 @@ class FaultInjector:
                         f"invalid seconds in clause {part!r}: "
                         f"must be non-negative, got {fields[2]}"
                     )
-                if kind == "delay":
-                    injector.delay_s = seconds
-                else:
-                    injector.hang_s = seconds
+                injector.delay_s = seconds
             injector.arm(kind, count)
         return injector
 

@@ -111,42 +111,6 @@ def parse_endpoint(
     return host, port
 
 
-def parse_endpoints(
-    text: str, *, default_host: str = DEFAULT_HOST
-) -> list[tuple[str, int]]:
-    """Comma-separated endpoint list → validated ``[(host, port), …]``.
-
-    The fleet-facing form of :func:`parse_endpoint` (``cli serve --role
-    orchestrator --workers HOST:PORT,…``): every entry is validated in
-    place, a malformed or empty one is reported with its position, and
-    duplicates are rejected — two catalog entries proxying the same
-    daemon would double-count its shard.
-    """
-    entries = [entry.strip() for entry in text.split(",")]
-    if entries == [""]:
-        raise ServiceError("expected at least one HOST:PORT endpoint, got ''")
-    endpoints: list[tuple[str, int]] = []
-    seen: dict[tuple[str, int], int] = {}
-    for position, entry in enumerate(entries, start=1):
-        if not entry:
-            raise ServiceError(
-                f"empty endpoint at entry {position} of {text!r}; "
-                "expected a comma-separated list of HOST:PORT"
-            )
-        try:
-            endpoint = parse_endpoint(entry, default_host=default_host)
-        except ServiceError as exc:
-            raise ServiceError(f"entry {position} of {text!r}: {exc}") from None
-        if endpoint in seen:
-            raise ServiceError(
-                f"duplicate endpoint {entry!r} (entries {seen[endpoint]} "
-                f"and {position} of {text!r} name the same worker)"
-            )
-        seen[endpoint] = position
-        endpoints.append(endpoint)
-    return endpoints
-
-
 def publish_ready_file(
     path: str | os.PathLike, host: str, port: int
 ) -> None:

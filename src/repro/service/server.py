@@ -22,8 +22,8 @@ newline-delimited JSON requests and answers them through the shared
 
 Telemetry: a request frame carrying a top-level ``request_id`` gets a
 ``telemetry`` block on its work reply (node, per-hop span timings) and
-one ``request`` event in the server's flight recorder, joinable on that
-id across the fleet.
+one ``request`` event in the server's flight recorder, where
+``repro.cli trace`` finds it by that id.
 
 Admission is bounded: with ``capacity=N`` at most N work requests are
 dispatched at once, and any further arrival is *shed* immediately with
@@ -237,16 +237,6 @@ class _RequestHandler(socketserver.StreamRequestHandler):
                     return
                 continue
             try:
-                faults = server.faults
-                if faults is not None and op in WORK_OPS:
-                    # Chaos hooks, pre-work: a hung worker stalls before
-                    # touching the engine (its admission slot stays held,
-                    # like a wedged process at capacity), and a flapping
-                    # one alternates severed connections with served
-                    # requests — the breaker's nemesis.
-                    faults.hang_if_armed()
-                    if faults.flap_now():
-                        return
                 started = server.clock()
                 reply, stop = handle_request(server, payload)
                 server.finalize_reply(payload, reply, server.clock() - started)
@@ -351,7 +341,7 @@ class ServiceServer(socketserver.ThreadingTCPServer):
         """Span-time a work reply, attach telemetry, feed the recorder.
 
         Always strips the engine's raw ``span`` block out of the wire
-        ``stats`` (sub-batch stats stay pure counters for aggregation);
+        ``stats`` (so the wire stats stay pure counters);
         the timings resurface under ``reply["telemetry"]`` when the
         request carried a trace id.
         """
@@ -414,12 +404,6 @@ class ServiceServer(socketserver.ThreadingTCPServer):
             self._inflight += 1
             self._drained.clear()
             return True
-
-    def _begin_request(self) -> None:
-        """Unconditional admission (control-plane / legacy callers)."""
-        with self._inflight_lock:
-            self._inflight += 1
-            self._drained.clear()
 
     def _end_request(self) -> None:
         with self._inflight_lock:

@@ -1,21 +1,20 @@
-"""Cross-cutting observability layer for the evaluation stack.
+"""Observability layer for the evaluation stack.
 
-Four small, dependency-free pieces that every service tier plugs into:
+Small, dependency-free pieces the evaluation service plugs into:
 
 - :mod:`repro.telemetry.metrics` — a process-local registry of counters,
-  gauges and mergeable fixed-bucket latency histograms with Prometheus
-  text exposition.  Callback-backed instruments read the legacy ad-hoc
-  stats counters directly, so the ``metrics`` op reconciles exactly with
-  the older ``stats`` op by construction.
+  gauges and fixed-bucket latency histograms with Prometheus text
+  exposition.  Callback-backed instruments read the legacy ad-hoc stats
+  counters directly, so the ``metrics`` op reconciles exactly with the
+  older ``stats`` op by construction.
 - :mod:`repro.telemetry.profile` — nested, exception-safe span timers
-  aggregated into a per-phase time/call/self-time tree.  The engine and
-  the orchestrator feed it the same floats their latency histograms
-  observe, so the ``profile`` op reconciles exactly with ``metrics``;
-  worker trees merge fleet-wide by summing matching paths.
-- :mod:`repro.telemetry.trace` — request-id minting and span helpers.
-  Every protocol frame may carry a top-level ``request_id`` which the
-  orchestrator forwards into per-worker sub-batches and failover
-  re-dispatches.
+  aggregated into a per-phase time/call/self-time tree.  The engine
+  feeds it the same floats its latency histograms observe, so the
+  ``profile`` op reconciles exactly with ``metrics``.
+- :mod:`repro.telemetry.trace` — request-id minting.  Every protocol
+  frame may carry a top-level ``request_id``; the client reuses it
+  across retries and the server echoes it in its reply telemetry and
+  flight-recorder events.
 - :mod:`repro.telemetry.recorder` — a crash-safe JSONL flight recorder
   (same torn-tail discipline as the campaign store) with size-based
   rotation and a slow-request threshold log.
@@ -39,14 +38,12 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     histogram_quantile,
-    merge_snapshots,
     render_prometheus,
 )
 from .profile import (
     Profiler,
     active_profiler,
     flatten_phases,
-    merge_profile_snapshots,
     profile_span,
     profiling,
     render_profile,
@@ -70,8 +67,6 @@ __all__ = [
     "flatten_phases",
     "get_logger",
     "histogram_quantile",
-    "merge_profile_snapshots",
-    "merge_snapshots",
     "monotonic_clock",
     "new_request_id",
     "profile_span",

@@ -1,4 +1,4 @@
-"""Process-local metrics registry with mergeable histograms.
+"""Process-local metrics registry with fixed-bucket histograms.
 
 Three instrument kinds, mirroring the Prometheus data model without the
 dependency:
@@ -10,15 +10,10 @@ dependency:
   the same integer.
 - :class:`Gauge` — point-in-time value, owned or callback-backed.
 - :class:`Histogram` — fixed upper-bound buckets (plus an implicit
-  ``+Inf`` overflow), cumulative-sum quantile estimation, and exact
-  elementwise merge.  Two histograms merge iff their bucket bounds are
-  identical, which makes the merge associative and commutative — the
-  orchestrator folds worker snapshots in any order and gets the same
-  fleet histogram.
+  ``+Inf`` overflow) and cumulative-sum quantile estimation.
 
 ``collect()`` returns a plain-dict *snapshot* (JSON-safe, sorted keys)
-that travels over the wire; :func:`merge_snapshots` folds snapshots from
-many processes and :func:`render_prometheus` turns any snapshot into
+that travels over the wire; :func:`render_prometheus` turns it into
 Prometheus text exposition format.
 """
 
@@ -37,7 +32,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "histogram_quantile",
-    "merge_snapshots",
     "render_prometheus",
 ]
 
@@ -120,7 +114,7 @@ class Gauge(Counter):
 
 
 class Histogram:
-    """Fixed-bucket latency histogram with exact merge.
+    """Fixed-bucket latency histogram.
 
     ``bounds`` are the finite bucket *upper* bounds, strictly
     increasing; an implicit ``+Inf`` overflow bucket is appended.
@@ -258,43 +252,6 @@ class MetricsRegistry:
         return {inst.name: inst.snapshot() for inst in sorted(instruments, key=lambda i: i.name)}
 
 
-def merge_snapshots(*snapshots: dict) -> dict:
-    """Fold metric snapshots from many processes into one.
-
-    Counters and gauges sum; histograms require identical bucket bounds
-    and merge elementwise (associative and commutative).  Instrument
-    names present in only some snapshots pass through unchanged.
-    """
-    merged: dict = {}
-    for snap in snapshots:
-        for name, entry in snap.items():
-            if name not in merged:
-                e = dict(entry)
-                if e.get("type") == "histogram":
-                    e["bounds"] = list(e["bounds"])
-                    e["counts"] = list(e["counts"])
-                merged[name] = e
-                continue
-            base = merged[name]
-            if base["type"] != entry["type"]:
-                raise ValueError(
-                    f"cannot merge metric {name!r}: {base['type']} vs {entry['type']}"
-                )
-            if entry["type"] == "histogram":
-                if list(base["bounds"]) != list(entry["bounds"]):
-                    raise ValueError(f"cannot merge histogram {name!r}: bucket bounds differ")
-                base["counts"] = [a + b for a, b in zip(base["counts"], entry["counts"])]
-                base["count"] += entry["count"]
-                base["sum"] += entry["sum"]
-            else:
-                base["value"] += entry["value"]
-    for entry in merged.values():
-        if entry.get("type") == "histogram":
-            for label, q in (("p50", 0.5), ("p95", 0.95), ("p99", 0.99)):
-                entry[label] = histogram_quantile(entry["bounds"], entry["counts"], q)
-    return dict(sorted(merged.items()))
-
-
 def _fmt(value: float) -> str:
     if isinstance(value, float):
         if math.isinf(value):
@@ -305,7 +262,7 @@ def _fmt(value: float) -> str:
 
 
 def render_prometheus(snapshot: dict) -> str:
-    """Render a snapshot (or merged snapshot) as Prometheus text format."""
+    """Render a snapshot as Prometheus text format."""
     lines: list[str] = []
     for name in sorted(snapshot):
         entry = snapshot[name]

@@ -28,10 +28,7 @@ Three usage layers:
 
 Time comes from an injectable clock (:mod:`repro.telemetry.clock`), so
 tests drive exact arithmetic with ``ManualClock``.  Snapshots are
-JSON-safe plain dicts; :func:`merge_profile_snapshots` folds trees from
-many workers by summing matching paths — the same associative,
-commutative discipline as the metrics histogram merge, with the tree
-structure playing the role of the identical bucket bounds.
+JSON-safe plain dicts.
 """
 
 from __future__ import annotations
@@ -47,7 +44,6 @@ __all__ = [
     "Profiler",
     "active_profiler",
     "flatten_phases",
-    "merge_profile_snapshots",
     "profile_span",
     "profiling",
     "render_profile",
@@ -245,49 +241,8 @@ def profiling(profiler: Profiler | None, *, base: Sequence[str] = ()):
 
 
 # ----------------------------------------------------------------------
-# Snapshot algebra and rendering
+# Snapshot rendering
 # ----------------------------------------------------------------------
-def merge_profile_snapshots(*snapshots: dict) -> dict:
-    """Fold profile snapshots from many workers into one tree.
-
-    Matching phase paths sum ``calls`` and ``total_s`` (associative and
-    commutative, like the identical-bounds histogram merge); paths seen
-    in only some snapshots pass through.  ``self_s`` is recomputed from
-    the merged totals.
-    """
-    merged: dict = {}
-    enabled = False
-    for snap in snapshots:
-        if not isinstance(snap, dict):
-            continue
-        enabled = enabled or bool(snap.get("enabled"))
-        _merge_tree(merged, snap.get("phases") or {})
-    _refresh_self(merged)
-    return {"enabled": enabled, "phases": merged}
-
-
-def _merge_tree(into: dict, tree: dict) -> None:
-    for name, node in tree.items():
-        base = into.get(name)
-        if base is None:
-            base = into[name] = {"calls": 0, "total_s": 0.0, "self_s": 0.0}
-        base["calls"] += int(node.get("calls", 0))
-        base["total_s"] += float(node.get("total_s", 0.0))
-        children = node.get("children")
-        if children:
-            _merge_tree(base.setdefault("children", {}), children)
-
-
-def _refresh_self(tree: dict) -> None:
-    for node in tree.values():
-        children = node.get("children") or {}
-        node["self_s"] = max(
-            0.0,
-            node["total_s"] - sum(c["total_s"] for c in children.values()),
-        )
-        _refresh_self(children)
-
-
 def flatten_phases(
     phases: dict, prefix: str = ""
 ) -> list[tuple[str, dict]]:

@@ -198,8 +198,7 @@ def find_trace(
 ) -> list[tuple[str, dict]]:
     """Collect every event for ``request_id`` across recorder files.
 
-    Returns ``(source_name, event)`` pairs sorted by wall timestamp —
-    the reconstructed client → orchestrator → worker span path.
+    Returns ``(source_name, event)`` pairs sorted by wall timestamp.
     """
     hits: list[tuple[str, dict]] = []
     for p in paths:

@@ -7,6 +7,10 @@ codes and — for the campaign family — the files it leaves behind.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -268,6 +272,24 @@ class TestVersion:
         assert __version__ in capsys.readouterr().out
 
 
+class TestColdStart:
+    def test_import_does_not_load_scipy_stats(self):
+        """Every CLI call and spawned server pays the package import;
+        ``scipy.stats`` alone costs about a second, so only the
+        distributions that need it import it, when constructed."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = (
+            "import sys, repro, repro.cli\n"
+            "print('scipy.stats' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"
+
+
 class TestServiceCommands:
     @pytest.fixture
     def served_cli(self, tmp_path):
@@ -358,6 +380,24 @@ class TestServiceCommands:
              "--timeout", "0.5"]
         ) == 1
         assert "submit failed" in capsys.readouterr().err
+
+    def test_stats_unreachable_exits_1(self, capsys):
+        assert main([
+            "stats", "--port", "1", "--timeout", "0.3", "--retries", "1",
+        ]) == 1
+        assert "stats failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["fleet", "--n-workers", "2", "--port", "0"],
+        ["serve", "--role", "orchestrator", "--port", "0"],
+        ["serve", "--port", "0", "--workers", "127.0.0.1:7781"],
+        ["serve", "--port", "0", "--strategy", "round_robin"],
+    ], ids=["fleet", "role", "workers", "strategy"])
+    def test_no_fleet_tier_usage_error(self, argv):
+        # The service has no fleet tier: these are usage errors.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_campaign_run_via_service(self, served_cli, tmp_path, capsys):
         port = served_cli

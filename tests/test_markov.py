@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import MatrixRankWarning
 
-from repro.exceptions import StructuralError
+from repro.exceptions import ConvergenceError, StructuralError
 from repro.markov import CTMC, ctmc_from_tpn, tpn_throughput_exponential
 from repro.petri import build_overlap_tpn, build_strict_tpn
 
@@ -75,6 +78,20 @@ class TestCTMC:
             CTMC(2, [0], [1], [-1.0])
         with pytest.raises(StructuralError):
             CTMC(2, [0, 1], [1], [1.0, 1.0])
+
+    @pytest.mark.parametrize("method", ["auto", "direct"])
+    def test_reducible_chain_raises_typed_error(self, method):
+        """Two closed classes {0,1} and {2,3}: no unique stationary law.
+
+        Power iteration would return a start-vector-dependent answer, so
+        the sparse LU must refuse with the typed error, and scipy's
+        ``MatrixRankWarning`` must not escape to the caller.
+        """
+        chain = CTMC(4, [0, 1, 2, 3], [1, 0, 3, 2], [1.0, 2.0, 3.0, 4.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", MatrixRankWarning)
+            with pytest.raises(ConvergenceError, match="singular generator"):
+                chain.stationary_distribution(method)
 
     def test_flow(self):
         lam, mu = 2.0, 3.0

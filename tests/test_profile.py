@@ -4,11 +4,10 @@ Covers the span timer arithmetic under a :class:`ManualClock` (exact
 nested self/child attribution, exception-path closure), the disabled
 fast path (shared no-op span, empty snapshots, zero per-call
 allocation), thread-local activation (:func:`profiling` /
-:func:`profile_span`), the snapshot merge algebra, the engine
+:func:`profile_span`), snapshot flattening and rendering, the engine
 integration (phase tree root reconciles *exactly* with the batch
-latency histogram sum), the ``profile`` protocol op on workers and on
-an orchestrator fronting a 2-worker fleet, and the ``cli profile`` /
-``cli top`` surface.
+latency histogram sum), the ``profile`` protocol op, and the
+``cli profile`` / ``cli top`` surface.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.exceptions import ServiceOverloaded
 from repro.service import (
     EvaluationEngine,
     ServiceClient,
-    local_fleet,
     serve_in_thread,
 )
 from repro.telemetry import ManualClock
@@ -31,7 +29,6 @@ from repro.telemetry.profile import (
     Profiler,
     active_profiler,
     flatten_phases,
-    merge_profile_snapshots,
     profile_span,
     profiling,
     render_profile,
@@ -181,35 +178,14 @@ class TestActivation:
 
 
 # ----------------------------------------------------------------------
-# Merge algebra
+# Snapshot rendering
 # ----------------------------------------------------------------------
-class TestMerge:
+class TestSnapshotRendering:
     def snap(self, prof_spec: dict) -> dict:
         prof = Profiler(clock=ManualClock())
         for path, (calls, seconds) in prof_spec.items():
             prof.record(path, seconds, calls=calls)
         return prof.snapshot()
-
-    def test_merge_sums_and_recomputes_self(self):
-        a = self.snap({("batch",): (1, 4.0), ("batch", "execute"): (1, 3.0)})
-        b = self.snap({("batch",): (2, 6.0), ("batch", "execute"): (2, 1.0)})
-        merged = merge_profile_snapshots(a, b)
-        batch = merged["phases"]["batch"]
-        assert batch["calls"] == 3
-        assert batch["total_s"] == 10.0
-        assert batch["self_s"] == 6.0
-        assert batch["children"]["execute"]["total_s"] == 4.0
-
-    def test_merge_is_commutative_and_passes_unique_paths(self):
-        a = self.snap({("batch",): (1, 4.0)})
-        b = self.snap({("search",): (2, 1.5)})
-        ab = merge_profile_snapshots(a, b)
-        ba = merge_profile_snapshots(b, a)
-        assert ab == ba
-        assert set(ab["phases"]) == {"batch", "search"}
-
-    def test_merge_of_nothing_is_empty(self):
-        assert merge_profile_snapshots() == {"enabled": False, "phases": {}}
 
     def test_flatten_and_render(self):
         snap = self.snap({
@@ -289,7 +265,7 @@ class TestEngineProfile:
 
 
 # ----------------------------------------------------------------------
-# The profile op: worker and fleet
+# The profile op
 # ----------------------------------------------------------------------
 class TestProfileOp:
     def test_worker_profile_op(self):
@@ -308,34 +284,6 @@ class TestProfileOp:
             server.server_close()
             engine.close()
             thread.join(timeout=5)
-
-    def test_fleet_profile_merges_and_reconciles(self):
-        with local_fleet(2, ping_interval=None) as fleet:
-            with fleet.client() as client:
-                tasks = [
-                    named_task(), named_task("example_c"),
-                    named_task(solver="exponential"),
-                    named_task("paper"),
-                ]
-                values, failures, _stats = client.evaluate_batch(tasks)
-                assert not failures
-                prof = client.profile()
-                mets = client.metrics()
-            assert prof["role"] == "orchestrator"
-            assert prof["workers_reporting"] == 2
-            merged = prof["profile"]["phases"]
-            hist = mets["metrics"]["repro_engine_batch_seconds"]
-            # The merged tree's root total equals the fleet-merged
-            # histogram sum for the same op — exactly: both sides fold
-            # the same per-worker floats in the same catalog order.
-            assert merged["batch"]["calls"] == hist["count"]
-            assert merged["batch"]["total_s"] == hist["sum"]
-            # The orchestrator's own tree reconciles with its request
-            # histogram the same way.
-            orch = prof["orchestrator"]["phases"]["request"]
-            req_hist = mets["metrics"]["repro_orchestrator_request_seconds"]
-            assert orch["total_s"] == req_hist["sum"]
-            assert set(orch["children"]) == {"route", "merge"}
 
     def test_profile_is_a_control_op_while_draining(self):
         # Flip the admission gate directly instead of sending the

@@ -1,13 +1,11 @@
 """Tests for :mod:`repro.telemetry` and its service integration.
 
 Covers the metrics registry (instrument semantics, duplicate-name
-refusal, histogram quantiles, merge associativity/commutativity,
-Prometheus text rendering), the flight recorder (rotation, torn-tail
-repair, slow-request marking, cross-file trace joins), the logging
-plumbing, trace propagation end-to-end (worker replies carry span
-telemetry, the ``metrics`` op reconciles exactly with the legacy
-``stats`` counters, a trace id survives an orchestrator failover
-re-dispatch into both recorder files), the campaign runner's opt-in
+refusal, histogram quantiles, Prometheus text rendering), the flight
+recorder (rotation, torn-tail repair, slow-request marking, cross-file
+trace joins), the logging plumbing, trace propagation end-to-end
+(server replies carry span telemetry, the ``metrics`` op reconciles
+exactly with the legacy ``stats`` counters), the campaign runner's opt-in
 ``record_request_ids`` (and that leaving it off preserves store
 byte-identity), and the CLI ``metrics``/``trace``/``stats --watch``
 surface.
@@ -27,7 +25,6 @@ from repro.exceptions import CampaignError
 from repro.service import (
     EvaluationEngine,
     ServiceClient,
-    local_fleet,
     serve_in_thread,
 )
 from repro.telemetry import (
@@ -41,7 +38,6 @@ from repro.telemetry import (
     find_trace,
     get_logger,
     histogram_quantile,
-    merge_snapshots,
     new_request_id,
     read_events,
     render_prometheus,
@@ -163,61 +159,6 @@ class TestHistogram:
             Histogram("repro_bad_seconds", buckets=())
 
 
-def _hist_snap(values) -> dict:
-    h = Histogram("repro_m_seconds", "m", buckets=(0.01, 0.1, 1.0))
-    for v in values:
-        h.observe(v)
-    return {"repro_m_seconds": h.snapshot()}
-
-
-class TestMergeSnapshots:
-    def test_histogram_merge_is_associative_and_commutative(self):
-        a = _hist_snap([0.005, 0.05])
-        b = _hist_snap([0.5, 5.0, 0.05])
-        c = _hist_snap([0.009] * 4)
-        left = merge_snapshots(merge_snapshots(a, b), c)
-        right = merge_snapshots(a, merge_snapshots(b, c))
-        flat = merge_snapshots(c, a, b)
-        # Bucket counts (and hence every quantile) merge exactly in any
-        # order; the float `sum` is associative only up to rounding.
-        for merged in (left, right, flat):
-            h = merged["repro_m_seconds"]
-            assert h["count"] == 9
-            assert h["counts"] == [5, 2, 1, 1]
-            assert h["sum"] == pytest.approx(5.641)
-            assert h["p50"] == left["repro_m_seconds"]["p50"]
-            assert h["p99"] == left["repro_m_seconds"]["p99"]
-
-    def test_counters_sum_and_singletons_pass_through(self):
-        a = {"repro_x_total": {"type": "counter", "help": "", "value": 2}}
-        b = {
-            "repro_x_total": {"type": "counter", "help": "", "value": 3},
-            "repro_only_b": {"type": "gauge", "help": "", "value": 1},
-        }
-        merged = merge_snapshots(a, b)
-        assert merged["repro_x_total"]["value"] == 5
-        assert merged["repro_only_b"]["value"] == 1
-
-    def test_mismatches_raise(self):
-        ctr = {"repro_x": {"type": "counter", "help": "", "value": 1}}
-        gauge = {"repro_x": {"type": "gauge", "help": "", "value": 1}}
-        with pytest.raises(ValueError, match="counter vs gauge"):
-            merge_snapshots(ctr, gauge)
-        other = {
-            "repro_m_seconds": Histogram(
-                "repro_m_seconds", buckets=(0.5, 1.0)
-            ).snapshot()
-        }
-        with pytest.raises(ValueError, match="bounds differ"):
-            merge_snapshots(_hist_snap([0.1]), other)
-
-    def test_merge_does_not_mutate_inputs(self):
-        a = _hist_snap([0.05])
-        before = json.dumps(a, sort_keys=True)
-        merge_snapshots(a, _hist_snap([0.5]))
-        assert json.dumps(a, sort_keys=True) == before
-
-
 class TestPrometheusRendering:
     def test_counter_and_histogram_lines(self):
         reg = MetricsRegistry()
@@ -281,14 +222,6 @@ class TestHelpCompleteness:
             server.server_close()
             engine.close()
             thread.join(timeout=5)
-
-    def test_fleet_merged_instruments(self):
-        with local_fleet(2, ping_interval=None) as fleet:
-            with fleet.client() as client:
-                client.evaluate_batch([pattern_task()])
-                reply = client.metrics()
-            self.assert_fully_helped(reply["metrics"], reply["exposition"])
-
 
 # ----------------------------------------------------------------------
 # Flight recorder
@@ -369,19 +302,17 @@ class TestFlightRecorder:
 
     def test_find_trace_joins_files_by_timestamp(self, tmp_path):
         clk = ManualClock(50.0)
-        a = FlightRecorder(tmp_path / "orchestrator.jsonl", clock=clk)
-        b = FlightRecorder(tmp_path / "w0.jsonl", clock=clk)
-        b.record("request", request_id="rid1")  # ts 50: worker first
+        a = FlightRecorder(tmp_path / "a.jsonl", clock=clk)
+        b = FlightRecorder(tmp_path / "b.jsonl", clock=clk)
+        b.record("request", request_id="rid1")  # ts 50: b first
         clk.advance(1.0)
         a.record("request", request_id="rid1")  # ts 51
         a.record("request", request_id="other")
         a.close()
         b.close()
-        hits = find_trace(
-            "rid1", [tmp_path / "orchestrator.jsonl", tmp_path / "w0.jsonl"]
-        )
+        hits = find_trace("rid1", [tmp_path / "a.jsonl", tmp_path / "b.jsonl"])
         assert [(name, e["ts"]) for name, e in hits] == [
-            ("w0", 50.0), ("orchestrator", 51.0),
+            ("b", 50.0), ("a", 51.0),
         ]
 
 
@@ -524,71 +455,6 @@ class TestWorkerTelemetry:
             server.server_close()
             engine.close()
             thread.join(timeout=5)
-
-
-# ----------------------------------------------------------------------
-# Fleet: trace survival through failover, fleet-merged metrics
-# ----------------------------------------------------------------------
-class TestFleetTelemetry:
-    def test_trace_id_survives_failover_redispatch(self, tmp_path):
-        rec_dir = tmp_path / "flight"
-        with local_fleet(2, ping_interval=None, recorder_dir=rec_dir) as fleet:
-            with fleet.client() as client:
-                tasks = distinct_tasks(6)
-                values, failures, _stats = client.evaluate_batch(tasks)
-                assert not failures
-                # Both workers owned shards of that batch.
-                hops = client.last_telemetry["hops"]
-                assert {h["worker"] for h in hops} == {"w0", "w1"}
-                fleet.kill_worker("w1")
-                values2, failures2, _ = client.evaluate_batch(tasks)
-                rid = client.last_request_id
-                telemetry = client.last_telemetry
-                assert not failures2
-                assert values2 == values
-            assert telemetry["node"] == "orchestrator"
-            assert set(telemetry["spans"]) == {
-                "route_s", "execute_s", "merge_s", "total_s",
-            }
-            hops = telemetry["hops"]
-            lost = [h for h in hops if h["status"] == "lost"]
-            assert lost and lost[0]["worker"] == "w1"
-            # The re-dispatched shard landed on the survivor, same id.
-            assert any(
-                h["worker"] == "w0" and h["status"] == "ok" for h in hops
-            )
-        # After close: the trace joins across orchestrator + survivor.
-        events = find_trace(
-            rid, [rec_dir / "orchestrator.jsonl", rec_dir / "w0.jsonl"]
-        )
-        sources = {name for name, _ in events}
-        assert sources == {"orchestrator", "w0"}
-        kinds = {e["kind"] for _, e in events}
-        assert kinds == {"request", "hop"}
-        hop_statuses = {
-            e["status"] for _, e in events if e["kind"] == "hop"
-        }
-        assert "lost" in hop_statuses
-
-    def test_orchestrator_metrics_merge_fleet_histograms(self):
-        with local_fleet(2, ping_interval=None) as fleet:
-            with fleet.client() as client:
-                client.evaluate_batch(distinct_tasks(6))
-                reply = client.metrics()
-            assert reply["role"] == "orchestrator"
-            assert reply["workers_reporting"] == 2
-            snap = reply["metrics"]
-            # Two workers' engine counters folded into fleet totals.
-            assert snap["repro_engine_units_total"]["value"] == 6
-            batch_hist = snap["repro_engine_batch_seconds"]
-            assert batch_hist["count"] == 2  # one sub-batch per worker
-            assert (
-                snap["repro_orchestrator_requests_total"]["value"] >= 1
-            )
-            assert "repro_fleet_live_workers" in snap
-            assert "# TYPE repro_engine_batch_seconds histogram" in (
-                reply["exposition"]
-            )
 
 
 # ----------------------------------------------------------------------
