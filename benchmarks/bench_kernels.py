@@ -23,7 +23,6 @@ def _mid_size_net():
 
 def test_explore_vectorized_speed(benchmark):
     tpn = _mid_size_net()
-    tpn.kernel  # cache the incidence structures outside the timed region
     result = benchmark(explore, tpn, max_states=500_000)
     assert result.n_states == 10_368
 
@@ -40,7 +39,6 @@ def test_explore_reference_speed(benchmark):
 
 def test_sim_fast_speed(benchmark):
     tpn = build_overlap_tpn(paper_system())
-    tpn.kernel
     result = benchmark(
         simulate_tpn, tpn, n_datasets=1000, seed=7, engine="fast"
     )

@@ -203,16 +203,12 @@ def run_benchmarks(
 
     def _strict_net():
         if "strict" not in fixtures:
-            net = _mid_size_strict_net(quick)
-            net.kernel  # build the cached incidence structures up front
-            fixtures["strict"] = net
+            fixtures["strict"] = _mid_size_strict_net(quick)
         return fixtures["strict"]
 
     def _overlap_net():
         if "overlap" not in fixtures:
-            net = build_overlap_tpn(paper_system())
-            net.kernel
-            fixtures["overlap"] = net
+            fixtures["overlap"] = build_overlap_tpn(paper_system())
         return fixtures["overlap"]
 
     def _strict_reach():

@@ -1,9 +1,9 @@
-"""Shared performance kernels consumed by the petri, markov and sim layers.
+"""Array form of a net's structure for the vectorized reachability BFS.
 
 The kernel layer turns a :class:`~repro.petri.net.TimedEventGraph` into
-flat numpy structures once, so every hot loop downstream (reachability
-BFS, CTMC assembly, discrete-event simulation) works on contiguous arrays
-instead of Python lists of dataclasses.
+two int32 arrays once: the producing and the consuming transition of each
+place. :func:`repro.petri.reachability.explore` expands whole frontier
+batches through them instead of walking Python lists of dataclasses.
 """
 
 from repro.kernels.incidence import IncidenceKernel

@@ -1,29 +1,22 @@
-"""Incidence matrices and flat adjacency of a timed event graph.
+"""Per-place arc endpoints of a timed event graph.
 
-One :class:`IncidenceKernel` is built (and cached) per net; it carries
+In an event graph every place has exactly one producing and one consuming
+transition, so the whole arc structure is two int32 arrays of length
+``n_places``: ``place_src[p]`` produces into place ``p`` and
+``place_dst[p]`` consumes from it. One :class:`IncidenceKernel` holding
+them is built (and cached) per net; its memory grows with the net's arcs,
+never with transitions × places.
 
-* the **consumption** and **production** incidence matrices — int8
-  ``(n_transitions, n_places)`` arrays with a 1 where the transition
-  consumes from / produces into the place (event graphs give each place
-  exactly one input and one output transition, so every column holds a
-  single 1 in each matrix);
-* their difference ``delta`` (int16), the marking update of one firing;
-* CSR-style **flat adjacency**: ``in_flat[in_offsets[t]:in_offsets[t+1]]``
-  are the input places of transition ``t`` (same for ``out_*``), stored as
-  int32 — the array-based fast path of the simulator walks these instead
-  of per-transition Python lists;
-* ``place_src`` / ``place_dst`` — the producing / consuming transition of
-  each place, replacing attribute access on :class:`Place` dataclasses.
-
-The reachability explorer uses :meth:`enabled` (one matrix product per
-frontier batch) and ``delta`` (one broadcast add per batch); the Markov
-builder consumes the flat arc arrays derived from the exploration; the
-simulator fast path consumes the flat adjacency.
+The reachability explorer uses :meth:`IncidenceKernel.enabled` and
+:meth:`IncidenceKernel.successors` to expand a whole BFS frontier batch
+at once. ``enabled`` regroups the input places on every call; that costs
+one sort of ``n_places`` entries, small next to the ``(batch, n_places)``
+blocks the calls touch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,105 +26,69 @@ class IncidenceKernel:
     """Array view of a net's structure (see module docstring)."""
 
     n_transitions: int
-    n_places: int
-    consumption: np.ndarray  # int8 (n_transitions, n_places)
-    production: np.ndarray  # int8 (n_transitions, n_places)
-    delta: np.ndarray  # int16 (n_transitions, n_places)
-    in_offsets: np.ndarray  # int32 (n_transitions + 1)
-    in_flat: np.ndarray  # int32
-    out_offsets: np.ndarray  # int32 (n_transitions + 1)
-    out_flat: np.ndarray  # int32
-    place_src: np.ndarray  # int32 (n_places)
-    place_dst: np.ndarray  # int32 (n_places)
-    # float32 transpose of ``consumption``, kept so the enabled-check is a
-    # single BLAS matrix product instead of a (batch, n_t, n_p) temporary.
-    _consumption_t: np.ndarray = field(repr=False, default=None)
-    # lazily materialized Python-list views of the flat adjacency (the
-    # simulator fast path is called once per replication; scalar access
-    # into lists is what makes its event loop fast)
-    _in_lists: list | None = field(repr=False, default=None, compare=False)
-    _out_lists: list | None = field(repr=False, default=None, compare=False)
+    place_src: np.ndarray  # int32 (n_places,)
+    place_dst: np.ndarray  # int32 (n_places,)
 
     @classmethod
     def from_net(cls, net) -> "IncidenceKernel":
         """Build the kernel from a :class:`TimedEventGraph`."""
-        n_t, n_p = net.n_transitions, net.n_places
-        consumption = np.zeros((n_t, n_p), dtype=np.int8)
-        production = np.zeros((n_t, n_p), dtype=np.int8)
-        place_src = np.empty(n_p, dtype=np.int32)
-        place_dst = np.empty(n_p, dtype=np.int32)
-        for p in net.places:
-            consumption[p.dst, p.index] = 1
-            production[p.src, p.index] = 1
-            place_src[p.index] = p.src
-            place_dst[p.index] = p.dst
-        delta = production.astype(np.int16) - consumption.astype(np.int16)
-        in_offsets, in_flat = _csr(net.in_places, n_p)
-        out_offsets, out_flat = _csr(net.out_places, n_p)
+        n_p = net.n_places
         return cls(
-            n_transitions=n_t,
-            n_places=n_p,
-            consumption=consumption,
-            production=production,
-            delta=delta,
-            in_offsets=in_offsets,
-            in_flat=in_flat,
-            out_offsets=out_offsets,
-            out_flat=out_flat,
-            place_src=place_src,
-            place_dst=place_dst,
-            _consumption_t=consumption.T.astype(np.float32),
+            n_transitions=net.n_transitions,
+            place_src=np.fromiter((p.src for p in net.places), np.int32, n_p),
+            place_dst=np.fromiter((p.dst for p in net.places), np.int32, n_p),
         )
 
     # ------------------------------------------------------------------
     def enabled(self, markings: np.ndarray) -> np.ndarray:
         """Boolean ``(batch, n_transitions)`` mask of enabled transitions.
 
-        A transition is enabled when none of its input places is empty:
-        ``(markings == 0) @ consumptionᵀ`` counts the empty input places
-        per (marking, transition) pair through one float32 matrix product,
-        and the mask is its zero set. Token counts never exceed the place
-        bound (≤ 255 ≪ 2²⁴), so the float32 accumulation is exact.
+        A transition is enabled when none of its input places is empty.
+        The input places are visited in groups with pairwise distinct
+        consumers, so each group updates its transitions' columns with one
+        gather and no write collides. A transition without input places
+        is in no group and stays enabled.
         """
-        empty = (markings == 0).astype(np.float32)
-        return (empty @ self._consumption_t) == 0
+        ok = np.ones((len(markings), self.n_transitions), dtype=bool)
+        dst = self.place_dst
+        for k, places in enumerate(_distinct_endpoint_groups(dst)):
+            has_token = markings[:, places] > 0
+            if k == 0:
+                ok[:, dst[places]] = has_token
+            else:
+                ok[:, dst[places]] &= has_token
+        return ok
 
     def successors(
         self, markings: np.ndarray, state_ix: np.ndarray, trans_ix: np.ndarray
     ) -> np.ndarray:
         """Markings after firing ``trans_ix[k]`` in ``markings[state_ix[k]]``.
 
-        One gather plus one vectorized add; callers guarantee the pairs
-        are enabled (so no entry goes negative).
+        One gather, then one token off every place the fired transition
+        consumes from and one on every place it produces into (a self-loop
+        place gets both). Callers guarantee the pairs are enabled, so no
+        entry goes negative.
         """
-        return markings[state_ix] + self.delta[trans_ix]
-
-    def in_places_list(self) -> list[list[int]]:
-        """Flat adjacency as Python lists (fast scalar access in loops)."""
-        if self._in_lists is None:
-            object.__setattr__(
-                self, "_in_lists", _unflatten(self.in_offsets, self.in_flat)
-            )
-        return self._in_lists
-
-    def out_places_list(self) -> list[list[int]]:
-        if self._out_lists is None:
-            object.__setattr__(
-                self, "_out_lists", _unflatten(self.out_offsets, self.out_flat)
-            )
-        return self._out_lists
+        succ = markings[state_ix]
+        fired = trans_ix.astype(np.int32)[:, None]
+        succ -= self.place_dst == fired
+        succ += self.place_src == fired
+        return succ
 
 
-def _csr(table: list[list[int]], n_places: int) -> tuple[np.ndarray, np.ndarray]:
-    offsets = np.zeros(len(table) + 1, dtype=np.int32)
-    offsets[1:] = np.cumsum([len(row) for row in table])
-    flat = np.fromiter(
-        (p for row in table for p in row), dtype=np.int32, count=int(offsets[-1])
-    )
-    return offsets, flat
+def _distinct_endpoint_groups(ends: np.ndarray) -> list[np.ndarray]:
+    """Place indices split into groups whose ``ends`` are pairwise distinct.
 
-
-def _unflatten(offsets: np.ndarray, flat: np.ndarray) -> list[list[int]]:
-    data = flat.tolist()
-    bounds = offsets.tolist()
-    return [data[bounds[t]:bounds[t + 1]] for t in range(len(bounds) - 1)]
+    Group ``k`` holds, for every transition, its ``k``-th place in index
+    order, so there are as many groups as the largest degree.
+    """
+    groups = []
+    rest = np.argsort(ends, kind="stable")
+    while rest.size:
+        e = ends[rest]
+        first = np.empty(rest.size, dtype=bool)
+        first[0] = True
+        np.not_equal(e[1:], e[:-1], out=first[1:])
+        groups.append(rest[first])
+        rest = rest[~first]
+    return groups

@@ -131,19 +131,13 @@ class TimedEventGraph:
     def kernel(self):
         """Cached :class:`~repro.kernels.IncidenceKernel` of this net.
 
-        Flat incidence matrices and adjacency shared by the reachability
-        explorer, the Markov builder and the simulator fast path. Like the
-        other cached topology accessors, build the net fully before first
-        access.
+        The per-place arc endpoints as int32 arrays, used by the vectorized
+        reachability explorer. Like the other cached topology accessors,
+        build the net fully before first access.
         """
         from repro.kernels import IncidenceKernel
 
         return IncidenceKernel.from_net(self)
-
-    def incidence_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (consumption, production) int8 incidence matrices."""
-        k = self.kernel
-        return k.consumption, k.production
 
     @property
     def n_transitions(self) -> int:

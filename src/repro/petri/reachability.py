@@ -100,12 +100,13 @@ def explore(
 ) -> ReachabilityResult:
     """Breadth-first enumeration of the reachable markings (vectorized).
 
-    The frontier is expanded in batches: one float32 matrix product
-    against the consumption incidence matrix yields the enabled mask of
-    the whole batch, one broadcast add of the delta matrix yields every
-    successor marking, and deduplication slices keys out of a single
-    contiguous byte buffer per batch. Produces the exact result of
-    :func:`explore_reference` (same state numbering, same arc order).
+    The frontier is expanded in batches through the net's per-place arc
+    endpoints: :meth:`~repro.kernels.IncidenceKernel.enabled` yields the
+    enabled mask of the whole batch, one gather plus a ±1 update per arc
+    endpoint yields every successor marking, and deduplication slices keys
+    out of a single contiguous byte buffer per batch. Produces the exact
+    result of :func:`explore_reference` (same state numbering, same arc
+    order).
 
     Raises
     ------
@@ -138,9 +139,9 @@ def explore(
     arcs: list[list[tuple[int, int]]] = []
     n = 1
     head = 0
-    # Batch width bounded so the (batch, n_transitions) float32 enabled
-    # mask and the successor block stay a few MB.
-    batch = max(1, min(4096, (1 << 21) // max(1, kern.n_transitions)))
+    # Batch width bounded so the (batch, n_places) blocks of the enabled
+    # check and the successor block (one row per enabled pair) stay a few MB.
+    batch = max(1, min(4096, (1 << 21) // n_p))
     while head < n:
         hi = min(n, head + batch)
         frontier = markings[head:hi]

@@ -12,11 +12,11 @@ Works on bounded *and* unbounded nets: the feed-forward Overlap net simply
 accumulates tokens in the flow places of non-bottleneck branches.
 
 Two engines implement the same semantics: the default ``"fast"`` engine
-walks the net's flat int32 adjacency (:class:`~repro.kernels.IncidenceKernel`)
-with plain-int markings, while ``"reference"`` keeps the original
-numpy-marking loop as a cross-checked oracle. Both make the exact same
-start/complete decisions in the same order, so they consume the RNG
-identically and produce event-for-event equal results.
+walks the net's adjacency lists with plain-int markings, while
+``"reference"`` keeps the original numpy-marking loop as a cross-checked
+oracle. Both make the exact same start/complete decisions in the same
+order, so they consume the RNG identically and produce event-for-event
+equal results.
 """
 
 from __future__ import annotations
@@ -104,18 +104,17 @@ def _simulate_fast(
     budget: int,
     throttle: int | None,
 ) -> SimulationResult:
-    """Event loop over the kernel's flat adjacency with plain-int markings.
+    """Event loop over the net's adjacency lists with plain-int markings.
 
     Scalar access into Python lists beats per-event numpy fancy indexing
     and dataclass attribute chains by a wide margin; the draws still come
     from the vectorized per-transition :class:`SampleBuffer` blocks.
     """
-    kern = tpn.kernel
-    n_t = kern.n_transitions
-    in_places = kern.in_places_list()
-    out_places = kern.out_places_list()
-    place_src = kern.place_src.tolist()
-    place_dst = kern.place_dst.tolist()
+    n_t = tpn.n_transitions
+    in_places = tpn.in_places
+    out_places = tpn.out_places
+    place_src = [p.src for p in tpn.places]
+    place_dst = [p.dst for p in tpn.places]
     marking = tpn.initial_marking().tolist()
     draw = [None if s is None else s.draw for s in samplers]
 

@@ -9,11 +9,13 @@ event graphs.
 
 from __future__ import annotations
 
+import pickle
 from functools import partial
 
 import numpy as np
 import pytest
 
+from repro.exceptions import StructuralError
 from repro.petri import (
     build_overlap_tpn,
     build_strict_tpn,
@@ -58,45 +60,82 @@ def assert_same_reachability(a, b) -> None:
     assert a.n_places == b.n_places
 
 
+def reachable_markings(tpn: TimedEventGraph) -> np.ndarray:
+    """Every reachable marking, one int16 row each, in BFS order."""
+    reach = explore_reference(tpn, max_states=50_000)
+    return np.array(
+        [np.frombuffer(key, dtype=np.uint8) for key in reach.states], dtype=np.int16
+    )
+
+
+def source_transition_net() -> TimedEventGraph:
+    """t0 has no input place, so it is always enabled and floods t0→t1."""
+    net = TimedEventGraph(n_rows=1, n_columns=2)
+    t0 = net.add_transition(TransitionKind.COMPUTE, 0, 0, 0, ("cpu", 0), 1.0)
+    t1 = net.add_transition(TransitionKind.COMPUTE, 1, 0, 1, ("cpu", 1), 1.0)
+    net.add_place(t0, t1, 0, PlaceKind.FLOW)
+    net.add_place(t1, t1, 1, PlaceKind.PROC_CYCLE)
+    return net
+
+
+#: ``random_event_graph`` seeds whose chords include a self-loop place.
+SELF_LOOP_SEEDS = (0, 4, 5, 6)
+
+
 class TestIncidenceKernel:
-    def test_matrices_match_adjacency(self):
-        tpn = build_strict_tpn(make_mapping([[0], [1, 2]], seed=4))
-        cons, prod = tpn.incidence_matrices()
-        assert cons.dtype == np.int8 and prod.dtype == np.int8
-        assert cons.shape == (tpn.n_transitions, tpn.n_places)
-        for t in range(tpn.n_transitions):
-            assert sorted(np.nonzero(cons[t])[0].tolist()) == sorted(tpn.in_places[t])
-            assert sorted(np.nonzero(prod[t])[0].tolist()) == sorted(tpn.out_places[t])
-        # each place has exactly one producer and one consumer
-        assert (cons.sum(axis=0) == 1).all()
-        assert (prod.sum(axis=0) == 1).all()
-
-    def test_delta_is_firing_update(self):
-        tpn = build_strict_tpn(make_mapping([[0], [1]]))
-        kern = tpn.kernel
-        m = tpn.initial_marking()
-        for t in range(tpn.n_transitions):
-            expected = m.copy()
-            expected[tpn.in_places[t]] -= 1
-            expected[tpn.out_places[t]] += 1
-            assert (m + kern.delta[t] == expected).all()
-
-    def test_flat_adjacency_roundtrip(self):
+    def test_endpoints_are_the_only_arrays(self):
         tpn = build_overlap_tpn(make_mapping([[0], [1, 2]]))
         kern = tpn.kernel
-        assert kern.in_places_list() == tpn.in_places
-        assert kern.out_places_list() == tpn.out_places
         assert kern.place_src.tolist() == [p.src for p in tpn.places]
         assert kern.place_dst.tolist() == [p.dst for p in tpn.places]
+        arrays = [v for v in vars(kern).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 2
+        assert all(a.shape == (tpn.n_places,) and a.dtype == np.int32 for a in arrays)
 
     def test_enabled_matches_marking_semantics(self):
-        tpn = random_event_graph(0)
+        nets = [random_event_graph(s, n_transitions=4 + s % 5) for s in range(8)]
+        nets.append(build_strict_tpn(make_mapping([[0], [1, 2]], seed=4)))
+        cases = [(tpn, reachable_markings(tpn)) for tpn in nets]
+        # A transition without input places is enabled in every marking.
+        cases.append((
+            source_transition_net(),
+            np.array([[0, 0], [0, 1], [3, 0], [3, 1]], dtype=np.int16),
+        ))
+        for tpn, markings in cases:
+            mask = tpn.kernel.enabled(markings)
+            assert mask.shape == (len(markings), tpn.n_transitions)
+            expected = [
+                [all(m[p] > 0 for p in places) for places in tpn.in_places]
+                for m in markings
+            ]
+            assert mask.tolist() == expected
+
+    @pytest.mark.parametrize("seed", SELF_LOOP_SEEDS)
+    def test_successors_match_firing_update(self, seed):
+        tpn = random_event_graph(seed, n_transitions=4 + seed % 5)
+        assert any(p.src == p.dst for p in tpn.places)
+        markings = reachable_markings(tpn)
+        state_ix, trans_ix = np.nonzero(tpn.kernel.enabled(markings))
+        succ = tpn.kernel.successors(markings, state_ix, trans_ix)
+        assert succ.shape == (len(state_ix), tpn.n_places)
+        for row, s, t in zip(succ, state_ix.tolist(), trans_ix.tolist()):
+            expected = markings[s].astype(np.int64)
+            expected[tpn.in_places[t]] -= 1
+            expected[tpn.out_places[t]] += 1
+            assert row.tolist() == expected.tolist()
+
+    def test_paper_net_memory_grows_with_arcs(self):
+        """The Fig. 10 Overlap net (T=5 460, P=13 020): a dense T×P kernel
+        would hold hundreds of MB and ride along in every pickled net."""
+        from repro.experiments.fig10 import paper_system
+
+        tpn = build_overlap_tpn(paper_system())
         kern = tpn.kernel
-        m = tpn.initial_marking().astype(np.int16)
-        mask = kern.enabled(m[None, :])[0]
-        for t in range(tpn.n_transitions):
-            expected = all(m[p] > 0 for p in tpn.in_places[t])
-            assert bool(mask[t]) == expected
+        nbytes = sum(
+            v.nbytes for v in vars(kern).values() if isinstance(v, np.ndarray)
+        )
+        assert nbytes < 1 << 20
+        assert len(pickle.dumps(tpn)) < 4 << 20
 
 
 class TestExploreEquivalence:
@@ -126,6 +165,13 @@ class TestExploreEquivalence:
         for s, t, s2 in zip(src.tolist(), trans.tolist(), dst.tolist()):
             rebuilt[s].append((t, s2))
         assert rebuilt == reach.arcs
+
+    def test_source_transition_same_error(self):
+        with pytest.raises(StructuralError) as ref_err:
+            explore_reference(source_transition_net())
+        with pytest.raises(StructuralError) as vec_err:
+            explore(source_transition_net())
+        assert str(vec_err.value) == str(ref_err.value)
 
     def test_state_space_limit_matches(self):
         from repro.exceptions import StateSpaceLimitError
@@ -283,7 +329,6 @@ class TestErrorParity:
     def test_counted_out_of_range_rejected(self):
         """Regression: negative indices used to wrap via the numpy mask
         and silently count the wrong transition."""
-        from repro.exceptions import StructuralError
         from repro.markov import tpn_throughput_exponential
 
         tpn = build_strict_tpn(make_mapping([[0], [1]]))
